@@ -202,9 +202,10 @@ def _cmd_verify(args) -> int:
     if bad:
         raise InputError(f"solution mentions unknown vertices {bad}")
     g = inst.graph
+    chosen_set = set(chosen)
     deficits = []
     for (u, v), c in zip(g.edges, inst.demands):
-        have = len((g.neighbors(u) & g.neighbors(v)) & set(chosen))
+        have = len((g.neighbors(u) & g.neighbors(v)) & chosen_set)
         if have < c:
             deficits.append((u, v, c, have))
     if not deficits:

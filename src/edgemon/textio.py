@@ -7,9 +7,9 @@
     i <id> <a> <b>           optional interval realization, all vertices
     t <cotree-expression>    optional cotree certificate
 
-Ids are 0-based.  Parsing reports the offending line number; emission is
-canonical (comments, then p, v, e, i, t with sorted ids), so a parsed
-canonical file re-emits byte-identically.
+Ids are 0-based.  Parsing takes time linear in the file size and reports
+the offending line number; emission is canonical (comments, then p, v, e,
+i, t with sorted ids), so a parsed canonical file re-emits byte-identically.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def parse_instance_text(text: str) -> InstanceDocument:
     n = m = None
     comments: list[str] = []
     weights: dict[int, Fraction] = {}
-    edge_rows: list[tuple[int, Edge, int]] = []
+    demand: dict[Edge, int] = {}
     interval_rows: dict[int, tuple[int, int]] = {}
     cotree_text: str | None = None
 
@@ -105,9 +105,9 @@ def parse_instance_text(text: str) -> InstanceDocument:
             if c < 0:
                 raise ParseError(line_no, "demands must be non-negative")
             e = (u, v) if u < v else (v, u)
-            if any(e == prev for _, prev, _ in edge_rows):
+            if e in demand:
                 raise ParseError(line_no, f"duplicate edge {e}")
-            edge_rows.append((line_no, e, c))
+            demand[e] = c
         elif tag == "i":
             if len(parts) != 4:
                 raise ParseError(line_no, "expected 'i <id> <a> <b>'")
@@ -132,10 +132,9 @@ def parse_instance_text(text: str) -> InstanceDocument:
 
     if n is None:
         raise ParseError(1, "missing problem line 'p em <n> <m>'")
-    if len(edge_rows) != m:
-        raise ParseError(1, f"problem line promises {m} edges, found {len(edge_rows)}")
-    graph = Graph.from_edges(n, [e for _, e, _ in edge_rows])
-    demand = {e: c for _, e, c in edge_rows}
+    if len(demand) != m:
+        raise ParseError(1, f"problem line promises {m} edges, found {len(demand)}")
+    graph = Graph.from_edges(n, demand)
     weight = {v: weights.get(v, Fraction(1)) for v in range(n)}
     instance = Instance.make(graph, demand=demand, weight=weight)
 

@@ -1,5 +1,7 @@
 """Block-cut tree construction and the leaf-elimination solver."""
 
+import hashlib
+
 import pytest
 
 from edgemon import (
@@ -19,6 +21,27 @@ import bruteforce as bf
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 K4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+
+
+# (value, witness size, witness digest) of solve_block on
+# gen_block_graph(shape, demand=(0, 1), weight=(1, 4, 4), seed); the two
+# elimination orders break ties differently, so each is pinned on its own
+PINNED_WITNESSES = {
+    ("k4x160", 0, False): ("456", 206, "c55b9bba0864b1c1"),
+    ("k4x160", 0, True): ("456", 206, "4d5260c0e52f1d35"),
+    ("k4x160", 2, False): ("460", 200, "2d42def62041f9f5"),
+    ("k4x160", 2, True): ("460", 200, "ef1e571e4fcbf135"),
+    ("mixed", 0, False): ("170", 76, "bfb70ed959d74587"),
+    ("mixed", 0, True): ("170", 75, "38a5b98e4f08f9fa"),
+    ("mixed", 7, False): ("767/4", 82, "c3fe9171d7bc8267"),
+    ("mixed", 7, True): ("767/4", 82, "a8c2b49116f64fa9"),
+}
+SHAPES = {"k4x160": [4] * 160, "mixed": [3, 5, 4] * 20}
+
+
+def witness_digest(vertices) -> str:
+    text = " ".join(map(str, vertices))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def random_block_instance(seed: int, cmax: int = 2):
@@ -109,6 +132,16 @@ class TestBlockCutTree:
             for b in tree.blocks[i + 1 :]:
                 assert len(a & b) <= 1
 
+        # post-order: ascending index is a leaf-first elimination order, so
+        # every block meets the later blocks in one vertex, save the last
+        # block of each component, which meets none
+        later_shared = [
+            sum(1 for v in a if any(v in b for b in tree.blocks[i + 1 :]))
+            for i, a in enumerate(tree.blocks)
+        ]
+        assert max(later_shared, default=0) <= 1
+        assert later_shared.count(0) == base
+
         # vertices are covered, singletons only for isolated vertices
         covered = set().union(*tree.blocks) if tree.blocks else set()
         assert covered == set(range(n))
@@ -155,6 +188,13 @@ class TestSolveBlock:
         assert sol.value == ref.value
         assert is_monitoring_set(inst, sol.vertices)
 
+    def test_witness_check_raises(self, monkeypatch):
+        import edgemon.blocks
+
+        monkeypatch.setattr(edgemon.blocks, "is_monitoring_set", lambda inst, s: False)
+        with pytest.raises(RuntimeError):
+            solve_block(Instance.make(BOWTIE, demand=1))
+
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_oracle(self, seed):
         inst = random_block_instance(seed)
@@ -174,6 +214,15 @@ class TestSolveBlock:
         assert first.feasible == last.feasible
         if first.feasible:
             assert first.value == last.value
+
+    @pytest.mark.parametrize("shape,seed,eliminate_last", sorted(PINNED_WITNESSES))
+    def test_pinned_witnesses(self, shape, seed, eliminate_last):
+        inst = gen_block_graph(
+            SHAPES[shape], demand=(0, 1), weight=(1, 4, 4), seed=seed
+        )
+        sol = solve_block(inst, eliminate_last=eliminate_last)
+        got = (str(sol.value), len(sol.vertices), witness_digest(sol.vertices))
+        assert got == PINNED_WITNESSES[shape, seed, eliminate_last]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_uniform_rule_path_agrees(self, seed):

@@ -60,6 +60,14 @@ class TestParse:
             parse_instance_text(text)
         assert err.value.line_no == line
 
+    @pytest.mark.parametrize("first,second", [("1 3", "3 1"), ("3 1", "1 3")])
+    def test_duplicate_edge_in_either_orientation(self, first, second):
+        text = f"p em 4 3\ne {first} 1\ne 0 1 1\ne {second} 2\n"
+        with pytest.raises(ParseError) as err:
+            parse_instance_text(text)
+        assert err.value.line_no == 4
+        assert "duplicate edge (1, 3)" in str(err.value)
+
     def test_interval_lines(self):
         text = "p em 2 1\ne 0 1 1\ni 0 0 5\ni 1 3 8\n"
         doc = parse_instance_text(text)
@@ -140,6 +148,11 @@ class TestCli:
         path = self.write(tmp_path, "bad.em", "p em x y\n")
         code, _ = self.run(capsys, "oracle", "--in", path)
         assert code == 2
+
+    def test_duplicate_edge_exit_code(self, capsys, tmp_path):
+        path = self.write(tmp_path, "dup.em", "p em 4 2\ne 1 3 1\ne 3 1 1\n")
+        code, out = self.run(capsys, "solve", "--in", path)
+        assert code == 2 and out == ""
 
     def test_budget_exit_code(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("EM_BUDGET_VERTICES", "3")
