@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Graph, InputError, Instance, Solution, is_monitoring_set
+from .core import Graph, InputError, Instance, Solution, components, is_monitoring_set
 
 
 @dataclass(frozen=True)
@@ -119,38 +119,16 @@ def cotree_build(g: Graph) -> Cotree | None:
     """Decompose by connectivity of the graph and of its complement;
     returns None when the graph is not a cograph (an induced P4 survives)."""
 
-    def components_within(vs: tuple[int, ...], complement: bool):
-        vset = set(vs)
-        seen: set[int] = set()
-        comps: list[tuple[int, ...]] = []
-        for start in vs:
-            if start in seen:
-                continue
-            stack, comp = [start], []
-            seen.add(start)
-            while stack:
-                x = stack.pop()
-                comp.append(x)
-                if complement:
-                    nxt = vset - g.neighbors(x) - {x}
-                else:
-                    nxt = g.neighbors(x) & vset
-                for y in nxt:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            comps.append(tuple(sorted(comp)))
-        comps.sort()
-        return comps
-
     def build(vs: tuple[int, ...]) -> Cotree | None:
+        # vs is sorted, so its components come sorted by first vertex
         if len(vs) == 1:
             return Cotree.leaf(vs[0])
-        comps = components_within(vs, complement=False)
+        vset = set(vs)
+        comps = components(vs, lambda x: g.neighbors(x) & vset)
         if len(comps) > 1:
             kind = "union"
         else:
-            comps = components_within(vs, complement=True)
+            comps = components(vs, lambda x: vset - g.neighbors(x) - {x})
             if len(comps) == 1:
                 return None
             kind = "join"
@@ -177,7 +155,6 @@ class NodeSummary:
     gamma_t: Solution
     w_min: tuple[Fraction, int]
     has_isolated: bool
-    size: int
 
 
 def _sum_solutions(a: Solution, b: Solution) -> Solution:
@@ -231,14 +208,12 @@ def _combine(kind: str, a: NodeSummary, b: NodeSummary) -> NodeSummary:
             gamma_t=_sum_solutions(a.gamma_t, b.gamma_t),
             w_min=w_min,
             has_isolated=a.has_isolated or b.has_isolated,
-            size=a.size + b.size,
         )
     return NodeSummary(
         gamma_m=_join_gamma_m(a, b),
         gamma_t=_join_gamma_t(a, b),
         w_min=w_min,
         has_isolated=False,
-        size=a.size + b.size,
     )
 
 
@@ -250,7 +225,6 @@ def _summarize(node: Cotree, weights: Sequence[Fraction]) -> NodeSummary:
             gamma_t=Solution.infeasible(),
             w_min=(Fraction(weights[v]), v),
             has_isolated=True,
-            size=1,
         )
     acc = _summarize(node.children[0], weights)
     for child in node.children[1:]:
@@ -280,6 +254,8 @@ def solve_cograph(inst: Instance, tree: Cotree | None = None) -> Solution:
         raise InputError("cotree does not realize the instance graph")
     result = _summarize(tree, inst.weights).gamma_m
     if result.feasible:
-        assert is_monitoring_set(inst, result.vertices)
-        assert inst.weight_of(result.vertices) == result.value
+        if not is_monitoring_set(inst, result.vertices):
+            raise RuntimeError("cotree recursion: witness misses a demand")
+        if inst.weight_of(result.vertices) != result.value:
+            raise RuntimeError("cotree recursion: witness weight differs from value")
     return result

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import ceil
+from typing import Iterable
 
 from .core import (
     Graph,
@@ -21,6 +22,7 @@ from .core import (
     Solution,
     is_monitoring_set,
     max_demand,
+    meets,
     monitor_table,
 )
 from .oracle import exists_independent_set
@@ -43,8 +45,23 @@ def gamma_bounds(inst: Instance) -> tuple[int, int]:
         raise InputError(
             f"bounds need |V| >= C+2 = {cmax + 2}; the instance may be infeasible"
         )
-    assert is_monitoring_set(inst, range(cmax + 2))
+    if not is_monitoring_set(inst, range(cmax + 2)):
+        raise RuntimeError("gamma_bounds: C+2 vertices miss a demand")
     return cmax, cmax + 2
+
+
+def _cheapest(inst: Instance, pool: Iterable[tuple[int, ...]]) -> Solution:
+    """The first minimum-weight monitoring set among the candidate sets of
+    `pool`, or infeasible when none of them monitors every edge."""
+    mon = monitor_table(inst)
+    checks = [(mon[e], c) for e, c in zip(inst.graph.edges, inst.demands) if c > 0]
+    best: Solution | None = None
+    for chosen in pool:
+        if meets(checks, frozenset(chosen)):
+            w = inst.weight_of(chosen)
+            if best is None or w < best.value:
+                best = Solution.of(chosen, w)
+    return best if best is not None else Solution.infeasible()
 
 
 def _enumerate_min_monitoring(
@@ -53,25 +70,18 @@ def _enumerate_min_monitoring(
     """Minimum-weight monitoring set of size <= cap, by exhaustive search in
     ascending cardinality then lexicographic order; the first set attaining
     the minimum weight is kept."""
-    g = inst.graph
-    mon = monitor_table(inst)
-    demands = list(zip(g.edges, inst.demands))
-    best: Solution | None = None
-    others = [v for v in range(g.n) if v != force]
-    for size in range(min(cap, g.n) + 1):
-        if force is None:
-            pool = combinations(range(g.n), size)
-        elif size == 0:
-            continue
-        else:
-            pool = ((force,) + rest for rest in combinations(others, size - 1))
-        for chosen in pool:
-            s = frozenset(chosen)
-            if all(c == 0 or len(mon[e] & s) >= c for e, c in demands):
-                w = inst.weight_of(s)
-                if best is None or w < best.value:
-                    best = Solution.of(s, w)
-    return best if best is not None else Solution.infeasible()
+    n = inst.graph.n
+    sizes = range(min(cap, n) + 1)
+    if force is None:
+        pool = (c for size in sizes for c in combinations(range(n), size))
+    else:
+        others = [v for v in range(n) if v != force]
+        pool = (
+            (force,) + rest
+            for size in sizes[1:]
+            for rest in combinations(others, size - 1)
+        )
+    return _cheapest(inst, pool)
 
 
 def solve_complete_cbounded(inst: Instance, force: int | None = None) -> Solution:
@@ -157,21 +167,17 @@ def ptas_complete(inst: Instance, epsilon) -> Solution:
     order = sorted(range(n), key=lambda v: (inst.weights[v], v))
     first = order[: cmax + 2]
     outside = sorted(set(range(n)) - set(first))
-    mon = monitor_table(inst)
-    demands = list(zip(inst.graph.edges, inst.demands))
-    best: Solution | None = None
-    for core_size in range(cmax + 3):
-        for core_part in combinations(sorted(first), core_size):
-            lo = max(0, cmax - core_size)
-            hi = min(k, cmax + 2 - core_size, len(outside))
-            for extra_size in range(lo, hi + 1):
-                for extra in combinations(outside, extra_size):
-                    s = frozenset(core_part + extra)
-                    if all(
-                        c == 0 or len(mon[e] & s) >= c for e, c in demands
-                    ):
-                        w = inst.weight_of(s)
-                        if best is None or w < best.value:
-                            best = Solution.of(s, w)
-    assert best is not None, "the C+2 cheapest vertices always qualify"
+
+    def pool():
+        for core_size in range(cmax + 3):
+            for core_part in combinations(sorted(first), core_size):
+                lo = max(0, cmax - core_size)
+                hi = min(k, cmax + 2 - core_size, len(outside))
+                for extra_size in range(lo, hi + 1):
+                    for extra in combinations(outside, extra_size):
+                        yield core_part + extra
+
+    best = _cheapest(inst, pool())
+    if not best.feasible:
+        raise RuntimeError("ptas_complete: the C+2 cheapest vertices must qualify")
     return best

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from math import lcm
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 Edge = tuple[int, int]
 
@@ -91,9 +92,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 
@@ -131,22 +129,31 @@ class Graph:
         return Graph.from_edges(len(old_ids), sub_edges), old_ids
 
     def connected_components(self) -> tuple[tuple[int, ...], ...]:
-        seen: set[int] = set()
-        comps: list[tuple[int, ...]] = []
-        for start in range(self.n):
-            if start in seen:
-                continue
-            stack, comp = [start], []
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self.adjacency[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        return tuple(components(range(self.n), self.adjacency.__getitem__))
+
+
+def components(
+    vs: Iterable[int], neighbors: Callable[[int], Iterable[int]]
+) -> list[tuple[int, ...]]:
+    """Connected components of the graph on vs in which `neighbors(x)` are
+    the vertices adjacent to x (all of them in vs).  Each component comes
+    sorted; components come in the order of their first vertex in vs."""
+    seen: set[int] = set()
+    comps: list[tuple[int, ...]] = []
+    for start in vs:
+        if start in seen:
+            continue
+        stack, comp = [start], []
+        seen.add(start)
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            for y in neighbors(x):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        comps.append(tuple(sorted(comp)))
+    return comps
 
 
 @dataclass(frozen=True)
@@ -272,33 +279,58 @@ def _check_vertex_set(g: Graph, s: Iterable[int]) -> frozenset[int]:
     return s
 
 
+def _monitor_set(g: Graph, u: int, v: int) -> frozenset[int]:
+    """M(uv): the common neighbors of u and v (neither endpoint is one,
+    since graphs have no loops)."""
+    return g.adjacency[u] & g.adjacency[v]
+
+
 def monitors(g: Graph, e: tuple[int, int]) -> tuple[int, ...]:
     """The vertices forming a triangle with edge e, in ascending order."""
     u, v = normalize_edge(*e)
     if not g.has_edge(u, v):
         raise InputError(f"unknown edge {(u, v)}")
-    return tuple(sorted((g.neighbors(u) & g.neighbors(v)) - {u, v}))
+    return tuple(sorted(_monitor_set(g, u, v)))
 
 
 def monitor_table(inst: Instance) -> dict[Edge, frozenset[int]]:
     """Monitor sets of all edges, precomputed once for solver loops."""
     g = inst.graph
-    return {
-        (u, v): frozenset((g.neighbors(u) & g.neighbors(v)) - {u, v})
-        for u, v in g.edges
-    }
+    return {(u, v): _monitor_set(g, u, v) for u, v in g.edges}
 
 
-def is_monitoring_set(inst: Instance, s: Iterable[int]) -> bool:
-    """True iff every edge e has at least c(e) monitors inside s."""
+def deficits(inst: Instance, s: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """(u, v, need, have) for every edge uv with fewer than c(uv) monitors
+    inside s, in edge order.  Monitor sets are computed one edge at a time,
+    so no table for the whole graph is built."""
     s = _check_vertex_set(inst.graph, s)
     g = inst.graph
     for (u, v), c in zip(g.edges, inst.demands):
-        if c == 0:
-            continue
-        if len((g.neighbors(u) & g.neighbors(v)) & s) < c:
-            return False
-    return True
+        if c:
+            have = len(_monitor_set(g, u, v) & s)
+            if have < c:
+                yield u, v, c, have
+
+
+def is_monitoring_set(inst: Instance, s: Iterable[int]) -> bool:
+    """True iff every edge e has at least c(e) monitors inside s; stops at
+    the first deficit."""
+    return next(deficits(inst, s), None) is None
+
+
+def meets(
+    constraints: Iterable[tuple[frozenset[int], int]], s: frozenset[int]
+) -> bool:
+    """True iff s holds at least `need` members of each (candidates, need)."""
+    return all(len(cand & s) >= need for cand, need in constraints)
+
+
+def scaled_weights(weights: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Integer weights and the scale (the LCM of the denominators) with
+    weights[v] == ints[v] / scale, so search loops add and compare ints."""
+    weights = tuple(weights)
+    scale = lcm(*(w.denominator for w in weights))
+    return tuple(w.numerator * (scale // w.denominator) for w in weights), scale
 
 
 def max_demand(inst: Instance) -> int:
@@ -317,13 +349,6 @@ def domination_predicates(g: Graph, s: Iterable[int]) -> DominationPredicates:
 
 
 def feasibility_precheck(inst: Instance) -> bool:
-    """True iff no edge demands more monitors than it has.
-
-    Equivalent to `is_monitoring_set(inst, V)`: taking every vertex is
-    feasible exactly when each demand fits inside the edge's monitor set.
-    """
-    g = inst.graph
-    for (u, v), c in zip(g.edges, inst.demands):
-        if c > len((g.neighbors(u) & g.neighbors(v)) - {u, v}):
-            return False
-    return True
+    """True iff no edge demands more monitors than it has: taking every
+    vertex is feasible exactly when each demand fits its monitor set."""
+    return is_monitoring_set(inst, range(inst.graph.n))

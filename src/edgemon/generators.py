@@ -50,11 +50,6 @@ class SplitMix64:
             raise InputError("probability out of [0, 1]")
         return self.below(p.denominator) < p.numerator
 
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]
-
     def sample_distinct(self, count: int, lo: int, hi: int) -> list[int]:
         """`count` distinct ints from [lo, hi), in draw order."""
         if hi - lo < count:

@@ -28,7 +28,10 @@ from .core import (
     Solution,
     is_monitoring_set,
     max_demand,
+    meets,
     monitor_table,
+    normalize_edge,
+    scaled_weights,
 )
 
 
@@ -198,17 +201,24 @@ def _closed_bag_neighborhood(g: Graph, bag: frozenset[int]) -> frozenset[int]:
     return frozenset(out)
 
 
+def _summary(
+    vs: frozenset[int], near: frozenset[int], rank: dict[int, int], cap: int
+) -> tuple[int, ...]:
+    """The members of vs inside `near`, trimmed to the cap latest-ending
+    ones (by right-endpoint rank) when there are more than that."""
+    kept = vs & near
+    if len(kept) > cap:
+        kept = sorted(kept, key=rank.__getitem__, reverse=True)[:cap]
+    return tuple(sorted(kept))
+
+
 def representant(
     s: Iterable[int], i: int, decomp: NicePathDecomposition, cmax: int
 ) -> tuple[int, ...]:
     """Canonical summary of s at step i: its vertices near bag i, trimmed to
     the cmax+2 latest-ending ones when there are more than that."""
-    near = frozenset(s) & _closed_bag_neighborhood(decomp.graph, decomp.bags[i])
-    if len(near) <= cmax + 2:
-        return tuple(sorted(near))
-    rank = decomp.realization.right_rank()
-    kept = sorted(near, key=lambda v: rank[v], reverse=True)[: cmax + 2]
-    return tuple(sorted(kept))
+    near = _closed_bag_neighborhood(decomp.graph, decomp.bags[i])
+    return _summary(frozenset(s), near, decomp.realization.right_rank(), cmax + 2)
 
 
 def _subset_count(m: int, cap: int) -> int:
@@ -229,26 +239,22 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
     if real.n != g.n or real.intersection_graph().edges != g.edges:
         raise InputError("realization does not induce the instance graph")
     decomp = nice_path_decomposition(real)
-    cmax = max_demand(inst)
-    cap = cmax + 2
+    cap = max_demand(inst) + 2
     mon = monitor_table(inst)
+    demand = inst.demand_map()
+    cost, scale = scaled_weights(inst.weights)
     rank = real.right_rank()
 
-    def trim(vs: frozenset[int], near: frozenset[int]) -> tuple[int, ...]:
-        kept = vs & near
-        if len(kept) > cap:
-            kept = sorted(kept, key=lambda v: rank[v], reverse=True)[:cap]
-        return tuple(sorted(kept))
-
-    # state key -> (weight, predecessor key, vertex taken at this step or None)
-    tables: list[dict[tuple[int, ...], tuple[Fraction, tuple[int, ...] | None, int | None]]]
-    tables = [{(): (Fraction(0), None, None)}]
+    # state key -> (integer weight, predecessor key, vertex taken at this
+    # step or None)
+    tables: list[dict[tuple[int, ...], tuple[int, tuple[int, ...] | None, int | None]]]
+    tables = [{(): (0, None, None)}]
     introduced: set[int] = set()
 
     for i, (kind, v) in enumerate(decomp.events, start=1):
         bag = decomp.bags[i]
         near = _closed_bag_neighborhood(g, bag)
-        nxt: dict[tuple[int, ...], tuple[Fraction, tuple[int, ...] | None, int | None]] = {}
+        nxt: dict[tuple[int, ...], tuple[int, tuple[int, ...] | None, int | None]] = {}
 
         def record(key, weight, prev, taken):
             cur = nxt.get(key)
@@ -256,24 +262,21 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
                 nxt[key] = (weight, prev, taken)
 
         if kind == "forget":
-            checks = [
-                (mon[(min(u, v), max(u, v))], inst.demand(u, v))
-                for u in bag
-                if g.has_edge(u, v)
-            ]
+            edges = [normalize_edge(u, v) for u in bag if g.has_edge(u, v)]
+            checks = [(mon[e], demand[e]) for e in edges if demand[e]]
             for key in sorted(tables[-1]):
                 weight = tables[-1][key][0]
                 kset = frozenset(key)
-                if all(len(m & kset) >= c for m, c in checks):
-                    record(trim(kset, near), weight, key, None)
+                if meets(checks, kset):
+                    record(_summary(kset, near, rank, cap), weight, key, None)
         else:
             introduced.add(v)
             for key in sorted(tables[-1]):
                 weight = tables[-1][key][0]
                 kset = frozenset(key)
-                record(trim(kset, near), weight, key, None)
+                record(_summary(kset, near, rank, cap), weight, key, None)
                 record(
-                    trim(kset | {v}, near), weight + inst.weights[v], key, v
+                    _summary(kset | {v}, near, rank, cap), weight + cost[v], key, v
                 )
         assert len(nxt) <= _subset_count(len(near & introduced), cap)
         tables.append(nxt)
@@ -291,10 +294,11 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
         if got is not None:
             taken.add(got)
         key = prev
-    witness = tuple(sorted(taken))
-    assert inst.weight_of(witness) == value
-    assert is_monitoring_set(inst, witness)
-    return Solution.of(witness, value)
+    if sum(cost[v] for v in taken) != value:
+        raise RuntimeError("interval DP: witness weight differs from its value")
+    if not is_monitoring_set(inst, taken):
+        raise RuntimeError("interval DP: witness misses a demand")
+    return Solution.of(taken, Fraction(value, scale))
 
 
 def clique_number(real: IntervalRealization) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .core import (
@@ -23,6 +24,7 @@ from .core import (
     Instance,
     Solution,
     monitor_table,
+    scaled_weights,
 )
 
 GAMMA_M_BUDGET = 20
@@ -55,63 +57,76 @@ def minimum_weight_cover(
     residual-many cheapest remaining candidates); branches that cannot beat
     the incumbent are cut, equal-weight branches are kept so the
     lexicographic tie-break stays exact.
+
+    The search runs on integers: the universe is numbered 0..k-1 in
+    ascending vertex order, so vertex sets are k-bit masks whose low bits
+    are the small ids, and weights are scaled to integers by the LCM of
+    their denominators.
     """
     budget = budget if budget is not None else SearchBudget()
-    universe = (
-        frozenset(range(len(weights))) if allowed is None else frozenset(allowed)
-    )
+    universe = sorted(range(len(weights)) if allowed is None else set(allowed))
     if len(universe) > budget.max_vertices:
         raise BudgetExceeded(
             f"{len(universe)} candidate vertices exceed budget "
             f"{budget.max_vertices}"
         )
-    cons = [(cand & universe, int(need)) for cand, need in constraints if need > 0]
-    if any(len(cand) < need for cand, need in cons):
-        return Solution.infeasible()
+    cost, scale = scaled_weights(weights[v] for v in universe)
+    index = {v: i for i, v in enumerate(universe)}
+    # (candidate mask, need, (cost, bit) pairs in ascending cost order)
+    cons: list[tuple[int, int, list[tuple[int, int]]]] = []
+    for cand, need in constraints:
+        if need > 0:
+            order = sorted(
+                (cost[index[v]], 1 << index[v]) for v in cand if v in index
+            )
+            if len(order) < need:
+                return Solution.infeasible()
+            cons.append((sum(bit for _, bit in order), int(need), order))
 
     nodes = 0
-    best_w: Fraction | None = None
-    best_set: tuple[int, ...] | None = None
+    best_w: int | None = None
+    best_mask = 0
 
-    def consider(in_set: frozenset[int], w: Fraction) -> None:
-        nonlocal best_w, best_set
-        tup = tuple(sorted(in_set))
-        if best_w is None or w < best_w or (w == best_w and tup < best_set):
-            best_w, best_set = w, tup
+    def members(mask: int) -> tuple[int, ...]:
+        return tuple(v for i, v in enumerate(universe) if mask >> i & 1)
 
-    def recurse(in_set: frozenset[int], out_set: frozenset[int], w: Fraction):
-        nonlocal nodes
+    def recurse(chosen: int, free: int, w: int) -> None:
+        nonlocal nodes, best_w, best_mask
         nodes += 1
         if budget.node_limit is not None and nodes > budget.node_limit:
             raise BudgetExceeded(f"node limit {budget.node_limit} exhausted")
 
         worst_need = 0
-        worst_cands: list[int] | None = None
+        worst_free = 0
         bound = w
-        for cand, need in cons:
-            residual = need - len(cand & in_set)
+        for mask, need, order in cons:
+            residual = need - (mask & chosen).bit_count()
             if residual <= 0:
                 continue
-            remaining = sorted(cand - in_set - out_set)
-            if len(remaining) < residual:
+            remaining = mask & free
+            if remaining.bit_count() < residual:
                 return  # constraint can no longer be met on this branch
-            cheapest = sorted(weights[v] for v in remaining)[:residual]
-            bound = max(bound, w + sum(cheapest, Fraction(0)))
+            cheapest = islice((c for c, bit in order if bit & remaining), residual)
+            bound = max(bound, w + sum(cheapest))
             if residual > worst_need:
-                worst_need, worst_cands = residual, remaining
-        if worst_cands is None:
-            consider(in_set, w)
+                worst_need, worst_free = residual, remaining
+        if not worst_need:
+            if (
+                best_w is None or w < best_w
+                or (w == best_w and members(chosen) < members(best_mask))
+            ):
+                best_w, best_mask = w, chosen
             return
         if best_w is not None and bound > best_w:
             return
-        v = worst_cands[0]
-        recurse(in_set | {v}, out_set, w + weights[v])
-        recurse(in_set, out_set | {v}, w)
+        low = worst_free & -worst_free
+        recurse(chosen | low, free ^ low, w + cost[low.bit_length() - 1])
+        recurse(chosen, free ^ low, w)
 
-    recurse(frozenset(), frozenset(), Fraction(0))
-    if best_set is None:
+    recurse(0, (1 << len(universe)) - 1, 0)
+    if best_w is None:
         return Solution.infeasible()
-    return Solution.of(best_set, best_w)
+    return Solution.of(members(best_mask), Fraction(best_w, scale))
 
 
 def exact_gamma_m(inst: Instance, budget: SearchBudget | None = None) -> Solution:

@@ -1,5 +1,7 @@
 """Core semantics: monitor sets, feasibility, domination predicates."""
 
+import importlib
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
@@ -9,12 +11,20 @@ from edgemon import (
     Graph,
     InputError,
     Instance,
+    IntervalRealization,
+    deficits,
     domination_predicates,
     feasibility_precheck,
+    gamma_bounds,
     is_monitoring_set,
     max_demand,
     monitors,
+    ptas_planar,
+    solve_cograph,
+    solve_interval,
+    split_gamma_m,
 )
+from edgemon.core import scaled_weights
 
 K4 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -83,6 +93,64 @@ class TestIsMonitoringSet:
             st.sets(st.integers(min_value=0, max_value=g.n - 1), max_size=g.n)
         )
         assert is_monitoring_set(inst, base | extra)
+
+
+class TestDeficits:
+    def test_lists_every_short_edge_in_edge_order(self):
+        got = list(deficits(Instance.make(K4, demand=1), {0}))
+        assert got == [(0, 1, 1, 0), (0, 2, 1, 0), (0, 3, 1, 0)]
+
+    def test_monitoring_set_has_none(self):
+        assert list(deficits(Instance.make(K4, demand=2), {0, 1, 2, 3})) == []
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(InputError):
+            list(deficits(Instance.make(K4, demand=1), {4}))
+
+    @given(graphs_strategy(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_counts_match_monitors(self, g, data):
+        inst = Instance.make(g, demand=2)
+        s = data.draw(
+            st.sets(st.integers(min_value=0, max_value=g.n - 1), max_size=g.n)
+        )
+        expected = [
+            (u, v, 2, len(set(monitors(g, (u, v))) & s))
+            for u, v in g.edges
+            if len(set(monitors(g, (u, v))) & s) < 2
+        ]
+        assert list(deficits(inst, s)) == expected
+
+
+class TestScaledWeights:
+    def test_lcm_of_denominators(self):
+        ints, scale = scaled_weights([Fraction(1, 2), Fraction(2, 3), 4])
+        assert scale == 6 and ints == (3, 4, 24)
+
+    def test_integers_keep_scale_one(self):
+        assert scaled_weights([0, 1, 5]) == ((0, 1, 5), 1)
+
+
+K4_INTERVALS = IntervalRealization(((0, 10), (1, 11), (2, 12), (3, 13)))
+# module -> a call whose returned witness that module re-checks
+WITNESS_CHECKED = {
+    "complete": lambda: gamma_bounds(Instance.make(K4, demand=1)),
+    "intervals": lambda: solve_interval(Instance.make(K4, demand=1), K4_INTERVALS),
+    "planar": lambda: ptas_planar(Instance.make(K4, demand=1), 1),
+    "cographs": lambda: solve_cograph(Instance.make(K4, demand=1)),
+    "reductions": lambda: split_gamma_m(K4, range(4), ()),
+}
+
+
+class TestWitnessChecks:
+    # the checks are explicit raises, not asserts, so they still run
+    # under python -O
+    @pytest.mark.parametrize("module", sorted(WITNESS_CHECKED))
+    def test_failed_check_raises(self, monkeypatch, module):
+        target = importlib.import_module(f"edgemon.{module}")
+        monkeypatch.setattr(target, "is_monitoring_set", lambda inst, s: False)
+        with pytest.raises(RuntimeError):
+            WITNESS_CHECKED[module]()
 
 
 class TestMaxDemand:

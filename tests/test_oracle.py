@@ -1,5 +1,7 @@
 """Oracle module against independent subset enumeration."""
 
+import hashlib
+
 import pytest
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from edgemon import (
     Instance,
     SearchBudget,
     SplitMix64,
+    bfs_layering,
     domination_predicates,
     exact_double_dom,
     exact_gamma_m,
@@ -16,9 +19,12 @@ from edgemon import (
     exact_vertex_cover,
     exists_independent_set,
     feasibility_precheck,
+    gen_cograph,
     gen_complete,
+    gen_planar,
     is_monitoring_set,
     minimum_weight_cover,
+    solve_band,
 )
 
 import bruteforce as bf
@@ -38,6 +44,41 @@ def random_graph(n: int, density_num: int, density_den: int, seed: int) -> Graph
 def random_weights(n: int, seed: int) -> list[Fraction]:
     rng = SplitMix64(seed)
     return [1 + Fraction(rng.below(9), 4) for _ in range(n)]
+
+
+def witness_digest(vertices) -> str:
+    text = " ".join(map(str, vertices))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# (value, witness digest) pins.  The grids have unit weights, so many
+# optima tie and the digests pin the lexicographic tie-break.
+PINNED_GRIDS = {
+    (4, 4, 1, 0): ("10", "e7c9afa3ed876d5b"),
+    (4, 4, 1, 1): ("10", "84b2d016f60324ae"),
+    (4, 5, 1, 2): ("13", "04f336091892d606"),
+    (4, 5, 1, 3): ("13", "badf8a98633ddeb8"),
+    (3, 6, 1, 4): ("10", "3313674011d5113b"),
+    (4, 5, (0, 1), 5): ("11", "2242bac39a83be27"),
+    (4, 5, (0, 1), 6): ("11", "90fc23d0d2ae80ae"),
+}
+# solve_band on 5x5 triangulated grids, band = layers 2..3, region = 1..4
+PINNED_BANDS = {
+    0: ("65/4", "69753202960757ce"),
+    1: ("57/4", "9903aebac6534d0f"),
+    2: ("29/2", "fd06219bae351ee2"),
+}
+# (gamma_t, double domination) on 14-vertex weighted cographs
+PINNED_COGRAPH_DOMINATION = {
+    0: (("13/4", "b2a7c750c2fc773e"), ("8", "f3774d87e14a6554")),
+    1: (("5/2", "f4702dca8e9380e2"), ("5", "3401746b131d17f4")),
+    2: (("9", "f7ea1df546012ced"), ("16", "b097307886f3b225")),
+    3: (("5/2", "68bc23b5950dfa43"), ("5", "3584edcd61d592cf")),
+}
+
+
+def pin(sol):
+    return (str(sol.value), witness_digest(sol.vertices))
 
 
 K5 = Graph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
@@ -199,6 +240,42 @@ class TestIndependentSetAndCover:
         assert cover.value == g.n - bf.brute_alpha(g)
         covered = set(cover.vertices)
         assert all(u in covered or v in covered for u, v in g.edges)
+
+
+class TestPinnedWitnesses:
+    @pytest.mark.parametrize("rows,cols,demand,seed", sorted(PINNED_GRIDS, key=str))
+    def test_unit_weight_grids(self, rows, cols, demand, seed):
+        inst = gen_planar(rows, cols, triangulate=True, demand=demand, seed=seed)
+        assert pin(exact_gamma_m(inst)) == PINNED_GRIDS[rows, cols, demand, seed]
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_BANDS))
+    def test_band_with_region(self, seed):
+        inst = gen_planar(
+            5, 5, triangulate=True, demand=(0, 1), weight=(1, 3, 4), seed=seed
+        )
+        layering = bfs_layering(inst.graph, 0)
+        sol = solve_band(
+            inst, layering.slice(2, 3), layering.slice(1, 4),
+            SearchBudget(max_vertices=24),
+        )
+        assert pin(sol) == PINNED_BANDS[seed]
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_COGRAPH_DOMINATION))
+    def test_cograph_domination(self, seed):
+        inst, _ = gen_cograph(14, weight=(1, 4, 4), seed=seed)
+        got = (
+            pin(exact_gamma_t(inst.graph, inst.weights)),
+            pin(exact_double_dom(inst.graph, inst.weights)),
+        )
+        assert got == PINNED_COGRAPH_DOMINATION[seed]
+
+    def test_node_limit_is_exact(self):
+        # the search visits exactly 659 nodes, so one fewer is refused
+        inst = gen_complete(10, demand=2, seed=1)
+        with pytest.raises(BudgetExceeded):
+            exact_gamma_m(inst, budget=SearchBudget(node_limit=658))
+        sol = exact_gamma_m(inst, budget=SearchBudget(node_limit=659))
+        assert pin(sol) == ("4", "63dbe32229b625e9")
 
 
 class TestEngine:

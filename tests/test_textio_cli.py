@@ -1,5 +1,10 @@
 """Instance text round-trips and command-line behavior."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from fractions import Fraction
 
@@ -180,6 +185,36 @@ class TestCli:
         code, out = self.run(capsys, "verify", "--solution", bad, "--in", inst_path)
         assert code == 1
         assert "verified false" in out and "deficit" in out
+
+    @pytest.mark.parametrize(
+        "certificate,code,stdout",
+        [
+            ("set 0 1 2\n", 0, "verified true\n"),
+            (
+                "set 0\n",
+                1,
+                "verified false\ndeficit 0 1 1 0\ndeficit 0 2 1 0\n"
+                "deficit 0 3 1 0\n",
+            ),
+        ],
+    )
+    def test_verify_under_optimize_flag(self, tmp_path, certificate, code, stdout):
+        # python -O strips asserts, so the verdict must not depend on one
+        inst_path = self.write(
+            tmp_path, "k4.em",
+            format_instance_text(
+                InstanceDocument(instance=gen_complete(4, demand=1))
+            ),
+        )
+        sol_path = self.write(tmp_path, "k4.sol", certificate)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "edgemon.cli", "verify",
+             "--solution", sol_path, "--in", inst_path],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (done.returncode, done.stdout) == (code, stdout)
 
     def test_verify_agrees_with_solver_output(self, capsys, tmp_path):
         inst_path = self.write(
