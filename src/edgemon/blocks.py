@@ -9,11 +9,11 @@ rebuilt afterwards by replaying the eliminations backwards.
 
 One breadth-first walk per component, over a vertex -> blocks index, gives
 every block the cut vertex that joins it to the root side; blocks are then
-eliminated in post-order, so no leaf search is needed, and each leaf's
-clique sub-instance is built from its own members.  Apart from sorting
-blocks and members, and the clique searches, whose cost depends only on a
-block's size and demands, the elimination is linear in the size of the
-block-cut tree.
+eliminated in post-order, so no leaf search is needed, and each block's
+clique sub-instance is built once, from its own members, for both
+searches.  Apart from sorting blocks and members, and the clique searches,
+whose cost depends only on a block's size and demands, the elimination is
+linear in the size of the block-cut tree.
 """
 
 from __future__ import annotations
@@ -121,57 +121,19 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     )
 
 
-def _solve_leaf(
-    inst: Instance,
-    block: frozenset[int],
-    weights: list[Fraction],
-    force: int | None,
-    uniform_rule: bool,
-) -> Solution:
-    """Optimum of the clique sub-instance on one block, under the current
-    (possibly already modified) weights."""
+def _clique(
+    inst: Instance, block: frozenset[int], weights: list[Fraction]
+) -> tuple[list[int], Instance]:
+    """A block's sorted members and its clique sub-instance on 0..k-1,
+    under the current (possibly already modified) weights."""
     members = sorted(block)
-    if uniform_rule:
-        sol = _uniform_leaf(inst, members, weights, force)
-        if sol is not None:
-            return sol
     pairs = list(combinations(range(len(members)), 2))
     sub = Instance(
         graph=Graph.from_edges(len(members), pairs),
         demands=tuple(inst.demand(members[i], members[j]) for i, j in pairs),
         weights=tuple(weights[v] for v in members),
     )
-    new_force = members.index(force) if force is not None else None
-    sol = solve_complete_cbounded(sub, force=new_force)
-    if not sol.feasible:
-        return sol
-    return Solution.of((members[v] for v in sol.vertices), sol.value)
-
-
-def _uniform_leaf(
-    inst: Instance, members: list[int], weights: list[Fraction], force: int | None
-) -> Solution | None:
-    """Sorted-prefix shortcut when the block's demands are k-uniform with
-    k > 0: the k+2 cheapest members win, or the forced vertex plus the k+1
-    cheapest others.  Returns None when the shortcut does not apply."""
-    levels = {
-        inst.demand(u, v)
-        for i, u in enumerate(members)
-        for v in members[i + 1 :]
-    }
-    if len(levels) != 1:
-        return None
-    k = levels.pop()
-    if k == 0:
-        return None
-    if len(members) < k + 2:
-        return Solution.infeasible()
-    order = sorted(members, key=lambda v: (weights[v], v))
-    if force is None:
-        chosen = order[: k + 2]
-    else:
-        chosen = [force] + [v for v in order if v != force][: k + 1]
-    return Solution.of(chosen, sum((weights[v] for v in chosen), Fraction(0)))
+    return members, sub
 
 
 def _walk(
@@ -190,13 +152,14 @@ def _walk(
     return order
 
 
-def solve_block(
-    inst: Instance, uniform_rule: bool = False, eliminate_last: bool = False
-) -> Solution:
+def solve_block(inst: Instance, eliminate_last: bool = False) -> Solution:
     """Exact minimum-weight monitoring set of a block graph.
 
-    `uniform_rule` switches leaf solves to the sorted-prefix rule whenever
-    a block is uniformly demanded; both paths must agree.
+    Each block's clique sub-instance is built once and settled by
+    `solve_complete_cbounded`: the plain optimum and, for a leaf, the
+    optimum forced through its cut vertex, so B blocks take B
+    sub-instances.
+
     Each component is rooted at its highest-index block and eliminated in
     block order, the post-order of `block_cut_tree`.  `eliminate_last`
     roots it at the lowest-index block instead and eliminates in reverse
@@ -227,28 +190,30 @@ def solve_block(
         # each is a leaf when its turn comes, attached by the cut vertex it
         # was reached through
         leaves = reversed(order[1:]) if eliminate_last else sorted(order[1:])
-        steps: list[tuple[int, Solution, Solution]] = []
+        # (cut vertex, block members, plain and forced witnesses in the
+        # block's own 0..k-1 numbering)
+        steps: list[tuple[int, list[int], tuple[int, ...], tuple[int, ...]]] = []
         for b, cut in leaves:
-            plain = _solve_leaf(inst, tree.blocks[b], weights, None, uniform_rule)
+            members, sub = _clique(inst, tree.blocks[b], weights)
+            plain = solve_complete_cbounded(sub)
             if not plain.feasible:
                 return Solution.infeasible()
-            forced = _solve_leaf(inst, tree.blocks[b], weights, cut, uniform_rule)
+            forced = solve_complete_cbounded(sub, force=members.index(cut))
             assert forced.feasible, "forcing a vertex cannot lose feasibility"
             delta = forced.value - plain.value
             assert delta >= 0
             total += plain.value
-            steps.append((cut, plain, forced))
+            steps.append((cut, members, plain.vertices, forced.vertices))
             weights[cut] = delta
-        final = _solve_leaf(inst, tree.blocks[root], weights, None, uniform_rule)
+        members, sub = _clique(inst, tree.blocks[root], weights)
+        final = solve_complete_cbounded(sub)
         if not final.feasible:
             return Solution.infeasible()
         total += final.value
-        comp_witness = set(final.vertices)
-        for cut, plain, forced in reversed(steps):
-            if cut in comp_witness:
-                comp_witness |= set(forced.vertices)
-            else:
-                comp_witness |= set(plain.vertices)
+        comp_witness = {members[v] for v in final.vertices}
+        for cut, members, plain_vs, forced_vs in reversed(steps):
+            chosen = forced_vs if cut in comp_witness else plain_vs
+            comp_witness.update(members[v] for v in chosen)
         witness |= comp_witness
 
     if inst.weight_of(witness) != total:

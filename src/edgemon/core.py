@@ -115,19 +115,6 @@ class Graph:
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
 
-    def induced(self, vs: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Induced subgraph relabeled to 0..k-1, plus the old-id lookup."""
-        old_ids = tuple(sorted(set(vs)))
-        if old_ids and not (0 <= old_ids[0] and old_ids[-1] < self.n):
-            raise InputError("induced vertex set out of range")
-        new_of = {old: new for new, old in enumerate(old_ids)}
-        sub_edges = [
-            (new_of[u], new_of[v])
-            for u, v in self.edges
-            if u in new_of and v in new_of
-        ]
-        return Graph.from_edges(len(old_ids), sub_edges), old_ids
-
     def connected_components(self) -> tuple[tuple[int, ...], ...]:
         return tuple(components(range(self.n), self.adjacency.__getitem__))
 
@@ -231,16 +218,6 @@ class Instance:
         if any(c != lvl for c in self.demands):
             return False
         return k is None or lvl == k
-
-    def induced(self, vs: Iterable[int]) -> tuple["Instance", tuple[int, ...]]:
-        """Sub-instance on `vs`, relabeled; demands and weights restricted."""
-        sub, old_ids = self.graph.induced(vs)
-        new_of = {old: new for new, old in enumerate(old_ids)}
-        demands = tuple(
-            self.demand(old_ids[u], old_ids[v]) for u, v in sub.edges
-        )
-        weights = tuple(self.weights[old] for old in old_ids)
-        return Instance(graph=sub, demands=demands, weights=weights), old_ids
 
 
 @dataclass(frozen=True)

@@ -234,11 +234,11 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
     branch on taking the new vertex.  Witnesses are rebuilt from
     predecessor records.
     """
-    real = real.normalize()
-    g = inst.graph
-    if real.n != g.n or real.intersection_graph().edges != g.edges:
-        raise InputError("realization does not induce the instance graph")
     decomp = nice_path_decomposition(real)
+    real = decomp.realization
+    g = inst.graph
+    if real.n != g.n or decomp.graph.edges != g.edges:
+        raise InputError("realization does not induce the instance graph")
     cap = max_demand(inst) + 2
     mon = monitor_table(inst)
     demand = inst.demand_map()

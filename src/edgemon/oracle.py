@@ -45,7 +45,7 @@ def _default(budget: SearchBudget | None, max_vertices: int) -> SearchBudget:
 
 def minimum_weight_cover(
     weights: Sequence[Fraction],
-    constraints: Sequence[tuple[frozenset[int], int]],
+    constraints: Iterable[tuple[frozenset[int], int]],
     allowed: Iterable[int] | None = None,
     budget: SearchBudget | None = None,
 ) -> Solution:
@@ -57,6 +57,9 @@ def minimum_weight_cover(
     residual-many cheapest remaining candidates); branches that cannot beat
     the incumbent are cut, equal-weight branches are kept so the
     lexicographic tie-break stays exact.
+
+    `constraints` is read once, after the vertex budget is checked, so a
+    lazy iterable costs nothing on a refused instance.
 
     The search runs on integers: the universe is numbered 0..k-1 in
     ascending vertex order, so vertex sets are k-bit masks whose low bits
@@ -133,11 +136,16 @@ def exact_gamma_m(inst: Instance, budget: SearchBudget | None = None) -> Solutio
     """Minimum-weight monitoring set, or infeasible when some edge cannot
     gather enough monitors."""
     budget = _default(budget, GAMMA_M_BUDGET)
-    mon = monitor_table(inst)
-    constraints = [
-        (mon[e], c) for e, c in zip(inst.graph.edges, inst.demands) if c > 0
-    ]
-    return minimum_weight_cover(inst.weights, constraints, budget=budget)
+
+    def constraints():
+        # runs on the engine's first read, after its budget check, so a
+        # refused instance builds no monitor table
+        mon = monitor_table(inst)
+        for e, c in zip(inst.graph.edges, inst.demands):
+            if c > 0:
+                yield mon[e], c
+
+    return minimum_weight_cover(inst.weights, constraints(), budget=budget)
 
 
 def exact_gamma_t(

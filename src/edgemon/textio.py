@@ -135,8 +135,11 @@ def parse_instance_text(text: str) -> InstanceDocument:
     if len(demand) != m:
         raise ParseError(1, f"problem line promises {m} edges, found {len(demand)}")
     graph = Graph.from_edges(n, demand)
-    weight = {v: weights.get(v, Fraction(1)) for v in range(n)}
-    instance = Instance.make(graph, demand=demand, weight=weight)
+    instance = Instance(
+        graph,
+        tuple(demand[e] for e in graph.edges),
+        tuple(weights.get(v, Fraction(1)) for v in range(n)),
+    )
 
     realization = None
     if interval_rows:

@@ -229,9 +229,23 @@ class TestSolveBlock:
         rng = SplitMix64(seed)
         sizes = [2 + rng.below(4) for _ in range(2 + rng.below(3))]
         inst = gen_block_graph(sizes, demand=1, weight=(1, 3, 4), seed=seed)
-        plain = solve_block(inst, uniform_rule=False)
-        quick = solve_block(inst, uniform_rule=True)
-        assert plain.feasible == quick.feasible
-        if plain.feasible:
-            assert plain.value == quick.value
-            assert is_monitoring_set(inst, quick.vertices)
+        mine = solve_block(inst)
+        ref = exact_gamma_m(inst)
+        assert mine.feasible == ref.feasible
+        if mine.feasible:
+            assert mine.value == ref.value
+            assert is_monitoring_set(inst, mine.vertices)
+
+    @pytest.mark.parametrize("sizes", [[4], [3, 5, 4], [3, 3, 6, 4], [4] * 10])
+    def test_one_sub_instance_per_block(self, sizes, monkeypatch):
+        inst = gen_block_graph(sizes, demand=(0, 1), weight=(1, 3, 4), seed=3)
+        calls = []
+        from_edges = Graph.from_edges
+
+        def counting(n, edges):
+            calls.append(n)
+            return from_edges(n, edges)
+
+        monkeypatch.setattr(Graph, "from_edges", staticmethod(counting))
+        assert solve_block(inst).feasible
+        assert len(calls) == len(block_cut_tree(inst.graph).blocks) == len(sizes)

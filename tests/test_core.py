@@ -243,15 +243,3 @@ class TestInstanceModel:
         inst = Instance.make(K2, weight=["1/3", 2])
         assert inst.weights == (Fraction(1, 3), Fraction(2))
         assert inst.weight_of([0, 1]) == Fraction(7, 3)
-
-    def test_induced_restricts_demands_and_weights(self):
-        inst = Instance.make(
-            BOWTIE,
-            demand={(0, 1): 2, (0, 2): 1, (1, 2): 0, (2, 3): 1, (2, 4): 1, (3, 4): 1},
-            weight=[1, 2, 3, 4, 5],
-        )
-        sub, old = inst.induced({0, 1, 2})
-        assert old == (0, 1, 2)
-        assert sub.graph.edges == ((0, 1), (0, 2), (1, 2))
-        assert sub.demands == (2, 1, 0)
-        assert sub.weights == (1, 2, 3)

@@ -105,6 +105,24 @@ class TestExactGammaM:
         with pytest.raises(BudgetExceeded):
             exact_gamma_m(big, budget=SearchBudget(max_vertices=24))
 
+    def test_refusal_builds_no_monitor_table(self, monkeypatch):
+        import edgemon.oracle
+
+        builds = []
+        table = edgemon.oracle.monitor_table
+
+        def counting(inst):
+            builds.append(inst.graph.n)
+            return table(inst)
+
+        monkeypatch.setattr(edgemon.oracle, "monitor_table", counting)
+        path = Graph.from_edges(21, [(v, v + 1) for v in range(20)])
+        with pytest.raises(BudgetExceeded):
+            exact_gamma_m(Instance.make(path, demand=1))
+        assert builds == []
+        exact_gamma_m(Instance.make(PATH3, demand=1))
+        assert builds == [3]
+
     def test_node_limit(self):
         inst = gen_complete(10, demand=2, seed=1)
         with pytest.raises(BudgetExceeded):

@@ -9,12 +9,17 @@ import pytest
 from fractions import Fraction
 
 from edgemon import (
+    Instance,
     InstanceDocument,
     ParseError,
     format_instance_text,
+    gen_block_graph,
     gen_cograph,
     gen_complete,
     gen_interval,
+    gen_planar,
+    gen_split,
+    gen_unit_disk,
     parse_instance_text,
 )
 from edgemon.cli import main
@@ -98,6 +103,38 @@ class TestRoundTrip:
         again = parse_instance_text(text)
         assert again.instance == inst
         assert format_instance_text(again) == text
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gen_complete(7, demand=(0, 3), weight=(1, 3, 4), seed=1),
+            lambda: gen_block_graph(
+                [3, 5, 2, 4], demand=(0, 2), weight=(0, 2, 3), seed=2
+            ),
+            lambda: gen_interval(9, demand=(0, 2), weight=(1, 4, 4), seed=3)[0],
+            lambda: gen_cograph(9, weight=(1, 2, 5), seed=4)[0],
+            lambda: gen_split(4, 5, demand=(0, 1), seed=5),
+            lambda: gen_planar(3, 4, triangulate=True, demand=(0, 1), seed=6),
+            lambda: gen_unit_disk(8, demand=(0, 1), weight=(1, 3, 4), seed=7)[0],
+        ],
+        ids=["complete", "block", "interval", "cograph", "split", "planar", "unitdisk"],
+    )
+    def test_parse_builds_instance_once(self, make, monkeypatch):
+        inst = make()
+        text = format_instance_text(InstanceDocument(instance=inst))
+        made = Instance.make(inst.graph, demand=inst.demand_map(), weight=inst.weights)
+        calls = []
+        make_instance = Instance.make
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return make_instance(*args, **kwargs)
+
+        monkeypatch.setattr(Instance, "make", staticmethod(counting))
+        parsed = parse_instance_text(text).instance
+        assert calls == []
+        assert parsed == made
+        assert [parsed.demand(*e) for e in parsed.graph.edges] == list(made.demands)
 
     def test_certificates_round_trip(self):
         inst, real = gen_interval(6, seed=2)
