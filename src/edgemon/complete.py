@@ -24,6 +24,7 @@ from .core import (
     max_demand,
     meets,
     monitor_table,
+    scaled_weights,
 )
 from .oracle import exists_independent_set
 
@@ -55,13 +56,15 @@ def _cheapest(inst: Instance, pool: Iterable[tuple[int, ...]]) -> Solution:
     `pool`, or infeasible when none of them monitors every edge."""
     mon = monitor_table(inst)
     checks = [(mon[e], c) for e, c in zip(inst.graph.edges, inst.demands) if c > 0]
-    best: Solution | None = None
+    cost, scale = scaled_weights(inst.weights)
+    best: tuple[int, tuple[int, ...]] | None = None
     for chosen in pool:
-        if meets(checks, frozenset(chosen)):
-            w = inst.weight_of(chosen)
-            if best is None or w < best.value:
-                best = Solution.of(chosen, w)
-    return best if best is not None else Solution.infeasible()
+        w = sum(cost[v] for v in chosen)
+        if (best is None or w < best[0]) and meets(checks, frozenset(chosen)):
+            best = w, chosen
+    if best is None:
+        return Solution.infeasible()
+    return Solution.of(best[1], Fraction(best[0], scale))
 
 
 def _enumerate_min_monitoring(

@@ -1,12 +1,51 @@
 """Exact dynamic programming over interval realizations.
 
-The solver sweeps a nice path decomposition (one introduce or forget per
-step, bags are cliques) and keeps, per step, only a bounded summary of each
-partial solution: the C+2 vertices of the solution that lie in the closed
-neighborhood of the current bag and end latest, where C is the largest
-demand.  Any edge demand a later bag can still ask about is answered
-identically by the summary and by the full solution, so the table stays
-polynomial without losing optima.
+The solver sweeps a nice path decomposition: one introduce or forget per
+step, introductions in left-endpoint order, forgets in right-endpoint
+order, every bag a clique.  The paper keys each partial solution S by its
+representant (`representant`): the C+2 vertices of S near the current bag
+that end latest, C being the largest demand.  The table keys S by what
+later demand checks can observe of that set, its signature
+`(bag_mask, reaches)`:
+
+- `bag_mask` holds the chosen vertices still in the bag, as an int whose
+  bit i is the vertex of right-endpoint rank i, trimmed to the C+2
+  latest-ending ones by clearing the lowest set bit;
+- `reaches` is a descending tuple with one entry per chosen vertex already
+  forgotten: how many bag vertices, in left-endpoint order, start before
+  that vertex ends.  Entries below 2 are dropped, and only the
+  min(C, C+2 - popcount(bag_mask)) largest are kept.
+
+Why this loses nothing:
+
+- By Helly's property, w monitors an edge uv exactly when w is neither u
+  nor v and w's interval meets [max(a_u, a_v), min(b_u, b_v)].
+- Each edge uv is checked when its earlier-ending endpoint u is forgotten.
+  Every monitor of uv starts before b_u, so it has been introduced by then.
+- A chosen bag vertex holds the point just before b_u, so it monitors every
+  bag edge that does not touch it.
+- A forgotten vertex w monitors a bag edge exactly when both endpoints
+  start before b_w, that is, when both lie among the first reach(w) bag
+  vertices.  Vertices introduced later start after b_w, so w monitors none
+  of their edges, and a reach below 2 monitors nothing.
+- Reaches only shrink.  Forgetting the bag vertex at position p lowers each
+  reach above p by one, and the forgotten vertex, if chosen, reaches every
+  vertex left in the bag.
+- Trimming drops a vertex x only when C+2 later-ending vertices, or C
+  forgotten ones of no smaller reach, are kept.  Each of them monitors
+  every later-checked edge that x monitors, so after discounting the
+  edge's two endpoints they alone meet its demand.  A check thus passes on
+  the key exactly when it passes on S, partial solutions with equal keys
+  have the same completions, and keeping the cheapest per key is exact.
+
+A forget check is `(bag_mask & ~(bit_u | bit_v)).bit_count()` plus the
+number of reaches above the larger bag position of u and v.
+
+Among keys of equal weight the one recorded first wins: tables keep
+insertion order, and an introduce records every key without the new
+vertex before any branch that takes it.  This tie-break is not
+lexicographic, so with several optima the witness may differ from the
+oracle's.
 
 Endpoints of a realization must be pairwise distinct; user-supplied
 realizations with clashes are repaired by an order-preserving integer
@@ -28,8 +67,7 @@ from .core import (
     Solution,
     is_monitoring_set,
     max_demand,
-    meets,
-    monitor_table,
+    monitor_table,  # noqa: F401  unused here; edgebench's tracer hooks it
     normalize_edge,
     scaled_weights,
 )
@@ -194,106 +232,140 @@ def check_nice_path_decomposition(decomp: NicePathDecomposition) -> None:
             raise InputError(f"occurrences of vertex {v} are not contiguous")
 
 
-def _closed_bag_neighborhood(g: Graph, bag: frozenset[int]) -> frozenset[int]:
-    out = set(bag)
-    for v in bag:
-        out |= g.neighbors(v)
-    return frozenset(out)
-
-
-def _summary(
-    vs: frozenset[int], near: frozenset[int], rank: dict[int, int], cap: int
-) -> tuple[int, ...]:
-    """The members of vs inside `near`, trimmed to the cap latest-ending
-    ones (by right-endpoint rank) when there are more than that."""
-    kept = vs & near
-    if len(kept) > cap:
-        kept = sorted(kept, key=rank.__getitem__, reverse=True)[:cap]
-    return tuple(sorted(kept))
-
-
 def representant(
     s: Iterable[int], i: int, decomp: NicePathDecomposition, cmax: int
 ) -> tuple[int, ...]:
-    """Canonical summary of s at step i: its vertices near bag i, trimmed to
-    the cmax+2 latest-ending ones when there are more than that."""
-    near = _closed_bag_neighborhood(decomp.graph, decomp.bags[i])
-    return _summary(frozenset(s), near, decomp.realization.right_rank(), cmax + 2)
+    """Canonical summary of s at step i: its vertices near bag i (in the
+    bag or adjacent to it), trimmed to the cmax+2 latest-ending ones when
+    there are more than that."""
+    g, bag = decomp.graph, decomp.bags[i]
+    kept = frozenset(s) & bag.union(*map(g.neighbors, bag))
+    if len(kept) > cmax + 2:
+        rank = decomp.realization.right_rank()
+        kept = sorted(kept, key=rank.__getitem__, reverse=True)[: cmax + 2]
+    return tuple(sorted(kept))
 
 
-def _subset_count(m: int, cap: int) -> int:
-    return sum(comb(m, j) for j in range(min(m, cap) + 1))
+def _state_bound(k: int, cmax: int) -> int:
+    """Number of keys a bag of k vertices admits: p <= C+2 chosen bag
+    vertices, and a descending tuple of at most min(C, C+2-p) reaches, each
+    in 2..k (there are comb(m + L, L) multisets of size <= L from m
+    values)."""
+    values = max(k - 1, 0)
+    return sum(
+        comb(k, p) * comb(values + min(cmax, cmax + 2 - p), values)
+        for p in range(min(k, cmax + 2) + 1)
+    )
+
+
+def _forget_rule(
+    reaches: tuple[int, ...], checks: list[tuple[int, int, int]], p: int
+) -> tuple[int, int, tuple[int, ...]]:
+    """What forgetting the vertex at bag position p asks of a key with these
+    reaches, and the reaches that remain.
+
+    Each check (bit of u, max position of u and the forgotten vertex,
+    demand) still needs `need` monitors once the reaches are counted.  The
+    chosen bag vertices other than the forgotten one, `base` of them, give
+    base minus one when u is among them, so the key passes iff base >= top
+    (the largest need) and, when base == top, it holds none of `forbid`
+    (the u's whose need is top)."""
+    top, forbid = 0, 0
+    for bu, t, c in checks:
+        need = c - sum(r > t for r in reaches)
+        if need > top:
+            top, forbid = need, bu
+        elif need == top > 0:
+            forbid |= bu
+    shifted = tuple(s for r in reaches if (s := r - (r > p)) >= 2)
+    return top, forbid, shifted
 
 
 def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
     """Exact minimum-weight monitoring set of an interval instance.
 
     The realization must induce exactly the instance graph.  Forget steps
-    keep a state only when the summary already meets every demand on edges
-    between the forgotten vertex and the current bag; introduce steps
-    branch on taking the new vertex.  Witnesses are rebuilt from
-    predecessor records.
+    keep a key only when it meets every demand on edges between the
+    forgotten vertex and the current bag; introduce steps branch on taking
+    the new vertex.  Witnesses are rebuilt from predecessor records.
     """
     decomp = nice_path_decomposition(real)
     real = decomp.realization
     g = inst.graph
     if real.n != g.n or decomp.graph.edges != g.edges:
         raise InputError("realization does not induce the instance graph")
-    cap = max_demand(inst) + 2
-    mon = monitor_table(inst)
+    cmax = max_demand(inst)
+    cap = cmax + 2
     demand = inst.demand_map()
     cost, scale = scaled_weights(inst.weights)
-    rank = real.right_rank()
+    bit = {v: 1 << r for v, r in real.right_rank().items()}
 
-    # state key -> (integer weight, predecessor key, vertex taken at this
-    # step or None)
-    tables: list[dict[tuple[int, ...], tuple[int, tuple[int, ...] | None, int | None]]]
-    tables = [{(): (0, None, None)}]
-    introduced: set[int] = set()
+    # (bag mask, reaches) -> (integer weight, predecessor key, vertex taken
+    # at this step or None)
+    Key = tuple[int, tuple[int, ...]]
+    tables: list[dict[Key, tuple[int, Key | None, int | None]]]
+    tables = [{(0, ()): (0, None, None)}]
+    order: list[int] = []  # the bag in left-endpoint order
 
-    for i, (kind, v) in enumerate(decomp.events, start=1):
-        bag = decomp.bags[i]
-        near = _closed_bag_neighborhood(g, bag)
-        nxt: dict[tuple[int, ...], tuple[int, tuple[int, ...] | None, int | None]] = {}
-
-        def record(key, weight, prev, taken):
-            cur = nxt.get(key)
-            if cur is None or weight < cur[0]:
-                nxt[key] = (weight, prev, taken)
-
+    for kind, v in decomp.events:
+        bv = bit[v]
         if kind == "forget":
-            edges = [normalize_edge(u, v) for u in bag if g.has_edge(u, v)]
-            checks = [(mon[e], demand[e]) for e in edges if demand[e]]
-            for key in sorted(tables[-1]):
-                weight = tables[-1][key][0]
-                kset = frozenset(key)
-                if meets(checks, kset):
-                    record(_summary(kset, near, rank, cap), weight, key, None)
+            nxt: dict[Key, tuple[int, Key | None, int | None]] = {}
+            p = order.index(v)
+            checks = []
+            for q, u in enumerate(order):
+                c = demand[normalize_edge(u, v)] if u != v else 0
+                if c:
+                    checks.append((bit[u], max(p, q), c))
+            del order[p]
+            full = len(order)
+            rules: dict[tuple[int, ...], tuple[int, int, tuple[int, ...]]] = {}
+            for key, (weight, _, _) in tables[-1].items():
+                mask, reaches = key
+                rule = rules.get(reaches)
+                if rule is None:
+                    rule = rules[reaches] = _forget_rule(reaches, checks, p)
+                top, forbid, shifted = rule
+                rest = mask & ~bv
+                base = rest.bit_count()
+                if base < top or (base == top and rest & forbid):
+                    continue
+                if rest != mask and full >= 2:
+                    shifted = ((full,) + shifted)[: min(cmax, cap - base)]
+                nkey = (rest, shifted)
+                cur = nxt.get(nkey)
+                if cur is None or weight < cur[0]:
+                    nxt[nkey] = (weight, key, None)
         else:
-            introduced.add(v)
-            for key in sorted(tables[-1]):
-                weight = tables[-1][key][0]
-                kset = frozenset(key)
-                record(_summary(kset, near, rank, cap), weight, key, None)
-                record(
-                    _summary(kset | {v}, near, rank, cap), weight + cost[v], key, v
-                )
-        assert len(nxt) <= _subset_count(len(near & introduced), cap)
+            order.append(v)
+            nxt = {key: (weight, key, None) for key, (weight, _, _) in tables[-1].items()}
+            for key, (weight, _, _) in tables[-1].items():
+                mask, reaches = key
+                mask |= bv
+                if mask.bit_count() > cap:
+                    mask &= mask - 1
+                nkey = (mask, reaches[: min(cmax, cap - mask.bit_count())])
+                weight += cost[v]
+                cur = nxt.get(nkey)
+                if cur is None or weight < cur[0]:
+                    nxt[nkey] = (weight, key, v)
+        if len(nxt) > _state_bound(len(order), cmax):
+            raise RuntimeError("interval DP: more states than the key admits")
         tables.append(nxt)
 
     final = tables[-1]
     if not final:
         return Solution.infeasible()
-    assert set(final) == {()}, "states must collapse once every bag is empty"
-    value = final[()][0]
+    if set(final) != {(0, ())}:
+        raise RuntimeError("interval DP: states must collapse once every bag is empty")
+    value = final[(0, ())][0]
 
     taken: set[int] = set()
-    key: tuple[int, ...] | None = ()
+    key: Key | None = (0, ())
     for i in range(decomp.length, 0, -1):
-        _, prev, got = tables[i][key]
+        _, key, got = tables[i][key]
         if got is not None:
             taken.add(got)
-        key = prev
     if sum(cost[v] for v in taken) != value:
         raise RuntimeError("interval DP: witness weight differs from its value")
     if not is_monitoring_set(inst, taken):

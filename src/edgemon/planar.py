@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import ceil
 
 from .core import (
+    Edge,
     Graph,
     InputError,
     Instance,
@@ -87,7 +88,18 @@ def solve_band(
     band, region = frozenset(band), frozenset(region)
     if not band <= region:
         raise InputError("band must be contained in its region")
-    mon = monitor_table(inst)
+    return _solve_band(inst, band, region, budget, monitor_table(inst))
+
+
+def _solve_band(
+    inst: Instance,
+    band: frozenset[int],
+    region: frozenset[int],
+    budget: SearchBudget | None,
+    mon: dict[Edge, frozenset[int]],
+) -> Solution:
+    """`solve_band` on the monitor table `mon` of the whole instance, for a
+    band already inside its region."""
     constraints = [
         (mon[e], c)
         for e, c in zip(inst.graph.edges, inst.demands)
@@ -119,6 +131,7 @@ def ptas_planar(
     if g.n >= 3 and g.m > 3 * g.n - 6:
         warnings.warn("edge count exceeds the planar bound 3n-6", stacklevel=2)
 
+    mon = monitor_table(inst)
     total = Fraction(0)
     witness: set[int] = set()
     for comp in g.connected_components():
@@ -136,8 +149,9 @@ def ptas_planar(
                 covered |= band
                 if not region:
                     continue
-                picked |= set(solve_band(inst, band, region, budget).vertices)
-            assert covered == set(comp), "bands of one offset must cover all layers"
+                picked |= set(_solve_band(inst, band, region, budget, mon).vertices)
+            if covered != set(comp):
+                raise RuntimeError("planar sweep: bands of one offset miss a layer")
             w = inst.weight_of(picked)
             if best_w is None or w < best_w:
                 best_w, best_set = w, picked

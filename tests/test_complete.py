@@ -89,6 +89,14 @@ class TestCBounded:
         constraints.append((frozenset({3}), 1))
         assert minimum_weight_cover(inst.weights, constraints).value == 12
 
+    def test_first_cheapest_set_is_the_witness(self):
+        # {0, 2, 3}, {1, 2, 3} and {2, 3, 4} all weigh 2/3; the first one
+        # enumerated is kept
+        w = [Fraction(1, 3), Fraction(1, 3), Fraction(1, 6), Fraction(1, 6), Fraction(1, 3)]
+        inst = Instance.make(k_n(5), demand=1, weight=w)
+        sol = solve_complete_cbounded(inst)
+        assert sol.value == Fraction(2, 3) and sol.vertices == (0, 2, 3)
+
     def test_small_n_reports_infeasible(self):
         assert not solve_complete_cbounded(gen_complete(3, demand=2)).feasible
 

@@ -1,5 +1,8 @@
 """Interval realizations, the path decomposition, and the summary DP."""
 
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from edgemon import (
@@ -9,6 +12,7 @@ from edgemon import (
     SplitMix64,
     exact_gamma_m,
     gen_interval,
+    is_monitoring_set,
     monitors,
     nice_path_decomposition,
     representant,
@@ -18,6 +22,33 @@ from edgemon import (
 from edgemon.intervals import check_nice_path_decomposition, clique_number
 
 import bruteforce as bf
+
+# solve_interval values on larger generator instances, captured from the DP
+# that keyed states by vertex tuples: (n, lengths, demand, weight, seed,
+# value or None when infeasible)
+PINNED_VALUES = [
+    (20, "random", (0, 2), (0, 3, 1), 0, "2"),
+    (20, "random", (0, 3), (1, 4, 4), 0, "39/4"),
+    (24, "random", (0, 3), (0, 3, 1), 1, "3"),
+    (24, "random", (0, 3), (1, 4, 4), 3, None),
+    (28, "random", (0, 2), (0, 3, 1), 2, "0"),
+    (28, "random", (0, 3), (1, 4, 4), 3, "16"),
+    (32, "random", (0, 2), (1, 4, 4), 1, "11/2"),
+    (32, "random", (0, 3), (0, 3, 1), 3, "6"),
+    (36, "random", (0, 2), (0, 3, 1), 3, "1"),
+    (36, "random", (0, 2), (1, 4, 4), 3, "15/2"),
+    (40, "random", (0, 2), (1, 4, 4), 3, "41/4"),
+    (40, "random", (0, 2), (0, 3, 1), 3, "3"),
+    (20, "unit", (0, 3), (0, 3, 1), 1, "26"),
+    (20, "unit", (0, 3), (1, 4, 4), 2, None),
+    (24, "unit", (0, 2), (1, 4, 4), 1, "53/4"),
+    (28, "unit", (0, 3), (1, 4, 4), 2, "105/4"),
+    (32, "unit", (0, 3), (0, 3, 1), 0, "12"),
+    (36, "unit", (0, 2), (0, 3, 1), 2, "2"),
+    (36, "unit", (0, 3), (1, 4, 4), 3, "81/4"),
+    (40, "unit", (0, 3), (0, 3, 1), 2, "8"),
+    (40, "unit", (0, 2), (1, 4, 4), 0, "61/4"),
+]
 
 
 class TestRealization:
@@ -188,11 +219,86 @@ class TestSolveInterval:
         if mine.feasible:
             assert mine.value == ref.value
 
+    @pytest.mark.parametrize(
+        "n,lengths,demand,weight,seed,value",
+        PINNED_VALUES,
+        ids=[f"{p[1]}{p[0]}-d{p[2][1]}-w{p[3][0]}-s{p[4]}" for p in PINNED_VALUES],
+    )
+    def test_pinned_values(self, n, lengths, demand, weight, seed, value):
+        inst, real = gen_interval(
+            n, lengths=lengths, demand=demand, weight=weight, seed=seed
+        )
+        sol = solve_interval(inst, real)
+        if value is None:
+            assert not sol.feasible
+            return
+        assert sol.value == Fraction(value) == inst.weight_of(sol.vertices)
+        assert is_monitoring_set(inst, sol.vertices)
+
     def test_repaired_realization_still_solves(self):
         real = IntervalRealization(((0, 4), (4, 8), (0, 8)))
         inst = Instance.make(real.normalize().intersection_graph(), demand=1)
         sol = solve_interval(inst, real)
         assert sol.value == 3
+
+
+class TestStateBound:
+    @pytest.mark.parametrize("cmax", range(4))
+    def test_counts_every_key_of_a_bag(self, cmax):
+        from edgemon.intervals import _state_bound
+
+        # keys of a bag of k vertices: a mask of at most C+2 of its bits and
+        # a descending tuple of at most min(C, C+2-p) reaches in 2..k
+        for k in range(6):
+            keys = 0
+            for mask in range(1 << k):
+                p = mask.bit_count()
+                if p > cmax + 2:
+                    continue
+                for size in range(min(cmax, cmax + 2 - p) + 1):
+                    keys += sum(
+                        1
+                        for reaches in product(range(2, k + 1), repeat=size)
+                        if list(reaches) == sorted(reaches, reverse=True)
+                    )
+            assert _state_bound(k, cmax) == keys
+
+
+def _check_against_oracle(inst, real):
+    mine = solve_interval(inst, real)
+    ref = exact_gamma_m(inst)
+    assert mine.feasible == ref.feasible
+    if mine.feasible:
+        assert mine.value == ref.value == inst.weight_of(mine.vertices)
+        assert is_monitoring_set(inst, mine.vertices)
+    return mine.feasible
+
+
+class TestDemandThree:
+    """Largest demand 3 and zero weights, against the oracle (n <= 14)."""
+
+    @pytest.mark.parametrize("lengths", ["random", "unit"])
+    def test_drawn_demands(self, lengths):
+        seen = [
+            _check_against_oracle(*gen_interval(
+                6 + seed % 9, lengths=lengths, demand=(0, 3), weight=(0, 3, 1),
+                seed=seed,
+            ))
+            for seed in range(40)
+        ]
+        assert any(seen) and not all(seen)
+
+    @pytest.mark.parametrize("lengths", ["random", "unit"])
+    def test_saturated_demands(self, lengths):
+        # each edge asks for min(3, its monitor count), so all are feasible
+        for seed in range(24):
+            inst, real = gen_interval(
+                6 + seed % 9, lengths=lengths, weight=(0, 3, 1), seed=seed
+            )
+            g = inst.graph
+            demand = {e: min(3, len(monitors(g, e))) for e in g.edges}
+            inst = Instance.make(g, demand=demand, weight=inst.weights)
+            assert _check_against_oracle(inst, real)
 
 
 class TestUnitIntervalBound:

@@ -141,6 +141,22 @@ class TestPtasPlanar:
         with pytest.raises(InputError):
             ptas_planar(gen_planar(2, 2), Fraction(-1))
 
+    def test_one_monitor_table_per_call(self, monkeypatch):
+        import edgemon.planar
+
+        builds = []
+        table = edgemon.planar.monitor_table
+
+        def counting(inst):
+            builds.append(inst.graph.n)
+            return table(inst)
+
+        monkeypatch.setattr(edgemon.planar, "monitor_table", counting)
+        inst = gen_planar(3, 14, triangulate=True, demand=(0, 1), seed=3)
+        sol = ptas_planar(inst, 1)
+        assert sol.feasible == feasibility_precheck(inst)
+        assert builds == [42]
+
     def test_nonplanar_warns_but_runs(self):
         k6 = Graph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
         inst = Instance.make(k6, demand=1)
