@@ -330,15 +330,19 @@ def _cmd_bench(args) -> int:
         else:
             sol = ptas_planar(inst, Fraction(args.epsilon or "1"), budget=budget)
         elapsed = (time.perf_counter() - started) * 1000
-        reference = exact_gamma_m(inst, budget=budget)
-        if sol.feasible and reference.feasible and reference.value > 0:
-            ratio = str(sol.value / reference.value)
-        elif sol.feasible and reference.feasible:
-            ratio = "1" if sol.value == reference.value else "inf"
+        try:
+            reference = exact_gamma_m(inst, budget=budget)
+        except BudgetExceeded:  # beyond the oracle's budget: no reference
+            rval = ratio = "-"
         else:
-            ratio = "-"
+            rval = reference.value if reference.feasible else "inf"
+            if not (sol.feasible and reference.feasible):
+                ratio = "-"
+            elif reference.value > 0:
+                ratio = str(sol.value / reference.value)
+            else:
+                ratio = "1" if sol.value == reference.value else "inf"
         sval = sol.value if sol.feasible else "inf"
-        rval = reference.value if reference.feasible else "inf"
         print(f"{seed} {sval} {rval} {ratio} {elapsed:.1f}")
     return EXIT_OK
 

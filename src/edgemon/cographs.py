@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Sequence
 
-from .core import Graph, InputError, Instance, Solution, components, is_monitoring_set
+from .core import Graph, InputError, Instance, Solution, certify, components
+from .core import is_monitoring_set  # noqa: F401  unused; edgebench's tracer hooks it
 
 
 @dataclass(frozen=True)
@@ -147,84 +148,66 @@ def cotree_build(g: Graph) -> Cotree | None:
     return build(tuple(range(g.n)))
 
 
+# A subtree's cheapest qualifying set as (weight, vertices), None when no
+# set qualifies.  Weights are whatever the caller sums: an instance's
+# integer costs, or rationals.
+Pick = tuple[Any, tuple[int, ...]] | None
+
+
 @dataclass(frozen=True)
 class NodeSummary:
-    """Everything a parent node needs about a subtree's realized graph."""
+    """Everything a parent node needs about a subtree's realized graph: its
+    monitoring and total-domination optima, and its cheapest single vertex
+    (least weight, then least id)."""
 
-    gamma_m: Solution
-    gamma_t: Solution
-    w_min: tuple[Fraction, int]
+    gamma_m: Pick
+    gamma_t: Pick
+    w_min: Pick
     has_isolated: bool
 
 
-def _sum_solutions(a: Solution, b: Solution) -> Solution:
-    if not (a.feasible and b.feasible):
-        return Solution.infeasible()
-    return Solution.of(a.vertices + b.vertices, a.value + b.value)
+def _sum(a: Pick, b: Pick) -> Pick:
+    return None if a is None or b is None else (a[0] + b[0], a[1] + b[1])
 
 
-def _join_gamma_t(a: NodeSummary, b: NodeSummary) -> Solution:
-    # any cross pair totally dominates the join; a one-sided set must
-    # totally dominate its own side
-    best = Solution.of((a.w_min[1], b.w_min[1]), a.w_min[0] + b.w_min[0])
-    for side in (a.gamma_t, b.gamma_t):
-        if side.feasible and side.value < best.value:
-            best = side
+def _cheapest(*picks: Pick) -> Pick:
+    """The first pick of least weight, None when there is none."""
+    best = None
+    for pick in picks:
+        if pick is not None and (best is None or pick[0] < best[0]):
+            best = pick
     return best
-
-
-def _join_gamma_m(a: NodeSummary, b: NodeSummary) -> Solution:
-    candidates: list[Solution] = []
-    if a.gamma_t.feasible:
-        candidates.append(
-            Solution.of(
-                a.gamma_t.vertices + (b.w_min[1],),
-                a.gamma_t.value + b.w_min[0],
-            )
-        )
-    if b.gamma_t.feasible:
-        candidates.append(
-            Solution.of(
-                b.gamma_t.vertices + (a.w_min[1],),
-                b.gamma_t.value + a.w_min[0],
-            )
-        )
-    if not a.has_isolated and a.gamma_m.feasible:
-        candidates.append(a.gamma_m)
-    if not b.has_isolated and b.gamma_m.feasible:
-        candidates.append(b.gamma_m)
-    best: Solution | None = None
-    for cand in candidates:
-        if best is None or cand.value < best.value:
-            best = cand
-    return best if best is not None else Solution.infeasible()
 
 
 def _combine(kind: str, a: NodeSummary, b: NodeSummary) -> NodeSummary:
     w_min = min(a.w_min, b.w_min)
     if kind == "union":
         return NodeSummary(
-            gamma_m=_sum_solutions(a.gamma_m, b.gamma_m),
-            gamma_t=_sum_solutions(a.gamma_t, b.gamma_t),
+            gamma_m=_sum(a.gamma_m, b.gamma_m),
+            gamma_t=_sum(a.gamma_t, b.gamma_t),
             w_min=w_min,
             has_isolated=a.has_isolated or b.has_isolated,
         )
     return NodeSummary(
-        gamma_m=_join_gamma_m(a, b),
-        gamma_t=_join_gamma_t(a, b),
+        gamma_m=_cheapest(
+            _sum(a.gamma_t, b.w_min),
+            _sum(b.gamma_t, a.w_min),
+            None if a.has_isolated else a.gamma_m,
+            None if b.has_isolated else b.gamma_m,
+        ),
+        # any cross pair totally dominates the join; a one-sided set must
+        # totally dominate its own side
+        gamma_t=_cheapest(_sum(a.w_min, b.w_min), a.gamma_t, b.gamma_t),
         w_min=w_min,
         has_isolated=False,
     )
 
 
-def _summarize(node: Cotree, weights: Sequence[Fraction]) -> NodeSummary:
+def _summarize(node: Cotree, weights: Sequence) -> NodeSummary:
     if node.kind == "leaf":
         v = node.vertex
         return NodeSummary(
-            gamma_m=Solution.of((), 0),
-            gamma_t=Solution.infeasible(),
-            w_min=(Fraction(weights[v]), v),
-            has_isolated=True,
+            gamma_m=(0, ()), gamma_t=None, w_min=(weights[v], (v,)), has_isolated=True
         )
     acc = _summarize(node.children[0], weights)
     for child in node.children[1:]:
@@ -234,7 +217,8 @@ def _summarize(node: Cotree, weights: Sequence[Fraction]) -> NodeSummary:
 
 def gamma_t_cograph(tree: Cotree, weights: Sequence[Fraction]) -> Solution:
     """Minimum-weight total dominating set of the realized cograph."""
-    return _summarize(tree, weights).gamma_t
+    pick = _summarize(tree, weights).gamma_t
+    return Solution.infeasible() if pick is None else Solution.of(pick[1], pick[0])
 
 
 def solve_cograph(inst: Instance, tree: Cotree | None = None) -> Solution:
@@ -252,10 +236,7 @@ def solve_cograph(inst: Instance, tree: Cotree | None = None) -> Solution:
     realized = tree.realize(inst.graph.n)
     if realized.edges != inst.graph.edges:
         raise InputError("cotree does not realize the instance graph")
-    result = _summarize(tree, inst.weights).gamma_m
-    if result.feasible:
-        if not is_monitoring_set(inst, result.vertices):
-            raise RuntimeError("cotree recursion: witness misses a demand")
-        if inst.weight_of(result.vertices) != result.value:
-            raise RuntimeError("cotree recursion: witness weight differs from value")
-    return result
+    pick = _summarize(tree, inst.cost).gamma_m
+    if pick is None:
+        return Solution.infeasible()
+    return certify(inst, pick[1], pick[0], "cotree recursion")

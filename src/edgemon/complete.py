@@ -24,7 +24,6 @@ from .core import (
     max_demand,
     meets,
     monitor_table,
-    scaled_weights,
 )
 from .oracle import exists_independent_set
 
@@ -56,7 +55,7 @@ def _cheapest(inst: Instance, pool: Iterable[tuple[int, ...]]) -> Solution:
     `pool`, or infeasible when none of them monitors every edge."""
     mon = monitor_table(inst)
     checks = [(mon[e], c) for e, c in zip(inst.graph.edges, inst.demands) if c > 0]
-    cost, scale = scaled_weights(inst.weights)
+    cost = inst.cost
     best: tuple[int, tuple[int, ...]] | None = None
     for chosen in pool:
         w = sum(cost[v] for v in chosen)
@@ -64,7 +63,7 @@ def _cheapest(inst: Instance, pool: Iterable[tuple[int, ...]]) -> Solution:
             best = w, chosen
     if best is None:
         return Solution.infeasible()
-    return Solution.of(best[1], Fraction(best[0], scale))
+    return Solution.of(best[1], Fraction(best[0], inst.scale))
 
 
 def _enumerate_min_monitoring(
@@ -107,7 +106,7 @@ def solve_complete_uniform(inst: Instance) -> Solution:
         raise InputError("uniform rule requires k-uniform demands with k > 0")
     if inst.graph.n < k + 2:
         return Solution.infeasible()
-    order = sorted(range(inst.graph.n), key=lambda v: (inst.weights[v], v))
+    order = sorted(range(inst.graph.n), key=lambda v: (inst.cost[v], v))
     chosen = order[: k + 2]
     return Solution.of(chosen, inst.weight_of(chosen))
 
@@ -167,7 +166,7 @@ def ptas_complete(inst: Instance, epsilon) -> Solution:
         return _enumerate_min_monitoring(inst, k + 2)
     if n < cmax + 2:
         return Solution.infeasible()
-    order = sorted(range(n), key=lambda v: (inst.weights[v], v))
+    order = sorted(range(n), key=lambda v: (inst.cost[v], v))
     first = order[: cmax + 2]
     outside = sorted(set(range(n)) - set(first))
 

@@ -3,7 +3,11 @@
 A vertex v monitors an edge {a, b} when {a, b, v} induces a triangle.  A
 vertex set S satisfies an instance when every edge e has at least c(e)
 monitors inside S.  Vertex weights are exact non-negative rationals;
-solution values are always compared exactly, never through floats.
+solution values are always compared exactly, never through floats.  Each
+`Instance` also carries its weights as integers, `cost`, over one `scale`
+(the LCM of the denominators), so solvers add and compare ints, and
+`certify` re-checks a solver's witness and turns its integer value back
+into a `Fraction`.
 
 Graphs are immutable after construction.  Every operation in this module
 is a pure function of its arguments, so concurrent use on shared instances
@@ -12,10 +16,10 @@ is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 Edge = tuple[int, int]
 
@@ -72,7 +76,6 @@ class Graph:
         if n < 0:
             raise InputError("vertex count must be non-negative")
         seen: set[Edge] = set()
-        adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             e = normalize_edge(u, v)
             if not (0 <= e[0] and e[1] < n):
@@ -80,11 +83,19 @@ class Graph:
             if e in seen:
                 raise InputError(f"duplicate edge {e}")
             seen.add(e)
-            adj[e[0]].add(e[1])
-            adj[e[1]].add(e[0])
+        return Graph._build(n, seen)
+
+    @staticmethod
+    def _build(n: int, edges: Collection[Edge]) -> "Graph":
+        """`from_edges` without its checks: `edges` must already be
+        distinct normalized pairs inside 0..n-1."""
+        adj: list[set[int]] = [set() for _ in range(n)]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
         return Graph(
             n=n,
-            edges=tuple(sorted(seen)),
+            edges=tuple(sorted(edges)),
             adjacency=tuple(frozenset(a) for a in adj),
         )
 
@@ -148,12 +159,16 @@ class Instance:
     """A graph with per-edge demands and per-vertex rational weights.
 
     `demands[i]` is the demand of `graph.edges[i]`; use `demand(u, v)` for
-    keyed access.  Weights default to 1 everywhere.
+    keyed access.  Weights default to 1 everywhere.  `cost` and `scale` are
+    derived from the weights when the instance is built, with
+    `weights[v] == Fraction(cost[v], scale)`.
     """
 
     graph: Graph
     demands: tuple[int, ...]
     weights: tuple[Fraction, ...]
+    cost: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.demands) != self.graph.m:
@@ -169,6 +184,9 @@ class Instance:
             "_edge_index",
             {e: i for i, e in enumerate(self.graph.edges)},
         )
+        cost, scale = scaled_weights(self.weights)
+        object.__setattr__(self, "cost", cost)
+        object.__setattr__(self, "scale", scale)
 
     @staticmethod
     def make(graph: Graph, demand=1, weight=1) -> "Instance":
@@ -207,7 +225,7 @@ class Instance:
         return dict(zip(self.graph.edges, self.demands))
 
     def weight_of(self, vs: Iterable[int]) -> Fraction:
-        return sum((self.weights[v] for v in vs), Fraction(0))
+        return Fraction(sum(self.cost[v] for v in vs), self.scale)
 
     def is_uniform(self, k: int | None = None) -> bool:
         """True when all demands are equal (to k, if given); vacuously true
@@ -308,6 +326,19 @@ def scaled_weights(weights: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:
     weights = tuple(weights)
     scale = lcm(*(w.denominator for w in weights))
     return tuple(w.numerator * (scale // w.denominator) for w in weights), scale
+
+
+def certify(
+    inst: Instance, vertices: Collection[int], value: int, who: str
+) -> Solution:
+    """The solution `vertices` of integer weight `value` (on `inst.scale`),
+    once both claims are re-checked; a failed check is a fault of the
+    solver `who`, so it raises RuntimeError, also under `python -O`."""
+    if sum(inst.cost[v] for v in vertices) != value:
+        raise RuntimeError(f"{who}: witness weight differs from its value")
+    if not is_monitoring_set(inst, vertices):
+        raise RuntimeError(f"{who}: witness misses a demand")
+    return Solution.of(vertices, Fraction(value, inst.scale))
 
 
 def max_demand(inst: Instance) -> int:

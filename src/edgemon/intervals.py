@@ -56,7 +56,6 @@ their edge).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Iterable
 
@@ -65,11 +64,11 @@ from .core import (
     InputError,
     Instance,
     Solution,
-    is_monitoring_set,
+    certify,
+    is_monitoring_set,  # noqa: F401  unused here; edgebench's tracer hooks it
     max_demand,
     monitor_table,  # noqa: F401  unused here; edgebench's tracer hooks it
     normalize_edge,
-    scaled_weights,
 )
 
 
@@ -297,7 +296,6 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
     cmax = max_demand(inst)
     cap = cmax + 2
     demand = inst.demand_map()
-    cost, scale = scaled_weights(inst.weights)
     bit = {v: 1 << r for v, r in real.right_rank().items()}
 
     # (bag mask, reaches) -> (integer weight, predecessor key, vertex taken
@@ -338,6 +336,7 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
                     nxt[nkey] = (weight, key, None)
         else:
             order.append(v)
+            cv = inst.cost[v]
             nxt = {key: (weight, key, None) for key, (weight, _, _) in tables[-1].items()}
             for key, (weight, _, _) in tables[-1].items():
                 mask, reaches = key
@@ -345,7 +344,7 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
                 if mask.bit_count() > cap:
                     mask &= mask - 1
                 nkey = (mask, reaches[: min(cmax, cap - mask.bit_count())])
-                weight += cost[v]
+                weight += cv
                 cur = nxt.get(nkey)
                 if cur is None or weight < cur[0]:
                     nxt[nkey] = (weight, key, v)
@@ -366,11 +365,7 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
         _, key, got = tables[i][key]
         if got is not None:
             taken.add(got)
-    if sum(cost[v] for v in taken) != value:
-        raise RuntimeError("interval DP: witness weight differs from its value")
-    if not is_monitoring_set(inst, taken):
-        raise RuntimeError("interval DP: witness misses a demand")
-    return Solution.of(taken, Fraction(value, scale))
+    return certify(inst, taken, value, "interval DP")
 
 
 def clique_number(real: IntervalRealization) -> int:

@@ -134,7 +134,8 @@ def parse_instance_text(text: str) -> InstanceDocument:
         raise ParseError(1, "missing problem line 'p em <n> <m>'")
     if len(demand) != m:
         raise ParseError(1, f"problem line promises {m} edges, found {len(demand)}")
-    graph = Graph.from_edges(n, demand)
+    # the keys of `demand` are already distinct, normalized and in range
+    graph = Graph._build(n, demand.keys())
     instance = Instance(
         graph,
         tuple(demand[e] for e in graph.edges),

@@ -189,9 +189,10 @@ class TestSolveBlock:
         assert is_monitoring_set(inst, sol.vertices)
 
     def test_witness_check_raises(self, monkeypatch):
-        import edgemon.blocks
+        import edgemon.core
 
-        monkeypatch.setattr(edgemon.blocks, "is_monitoring_set", lambda inst, s: False)
+        # the witness is re-checked by core.certify
+        monkeypatch.setattr(edgemon.core, "is_monitoring_set", lambda inst, s: False)
         with pytest.raises(RuntimeError):
             solve_block(Instance.make(BOWTIE, demand=1))
 

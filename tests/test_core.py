@@ -1,10 +1,12 @@
 """Core semantics: monitor sets, feasibility, domination predicates."""
 
 import importlib
+from math import lcm
 
+import edgemon.planar
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgemon import (
@@ -12,6 +14,7 @@ from edgemon import (
     InputError,
     Instance,
     IntervalRealization,
+    Solution,
     deficits,
     domination_predicates,
     feasibility_precheck,
@@ -20,11 +23,12 @@ from edgemon import (
     max_demand,
     monitors,
     ptas_planar,
+    solve_block,
     solve_cograph,
     solve_interval,
     split_gamma_m,
 )
-from edgemon.core import scaled_weights
+from edgemon.core import certify, scaled_weights
 
 K4 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -132,8 +136,10 @@ class TestScaledWeights:
 
 
 K4_INTERVALS = IntervalRealization(((0, 10), (1, 11), (2, 12), (3, 13)))
-# module -> a call whose returned witness that module re-checks
+# module -> a call whose returned witness is re-checked: by core.certify,
+# except for complete.gamma_bounds, which checks its own bracket set
 WITNESS_CHECKED = {
+    "blocks": lambda: solve_block(Instance.make(K4, demand=1)),
     "complete": lambda: gamma_bounds(Instance.make(K4, demand=1)),
     "intervals": lambda: solve_interval(Instance.make(K4, demand=1), K4_INTERVALS),
     "planar": lambda: ptas_planar(Instance.make(K4, demand=1), 1),
@@ -147,10 +153,46 @@ class TestWitnessChecks:
     # under python -O
     @pytest.mark.parametrize("module", sorted(WITNESS_CHECKED))
     def test_failed_check_raises(self, monkeypatch, module):
-        target = importlib.import_module(f"edgemon.{module}")
-        monkeypatch.setattr(target, "is_monitoring_set", lambda inst, s: False)
-        with pytest.raises(RuntimeError):
+        target = "complete" if module == "complete" else "core"
+        monkeypatch.setattr(
+            importlib.import_module(f"edgemon.{target}"),
+            "is_monitoring_set",
+            lambda inst, s: False,
+        )
+        if module == "planar":
+            # the demand precheck asks the same kernel; keep its answer on K4
+            monkeypatch.setattr(
+                edgemon.planar, "feasibility_precheck", lambda inst: True
+            )
+        with pytest.raises(RuntimeError, match="witness misses a demand|miss a demand"):
             WITNESS_CHECKED[module]()
+
+    def test_weight_mismatch_raises(self):
+        inst = Instance.make(K4, demand=1, weight=[Fraction(1, 2), 1, 1, 1])
+        expected = Solution.of((0, 1, 2), Fraction(5, 2))
+        assert certify(inst, (0, 1, 2), 5, "probe") == expected
+        with pytest.raises(RuntimeError, match="probe: witness weight differs"):
+            certify(inst, (0, 1, 2), 4, "probe")
+
+
+class TestIntegerCost:
+    @given(
+        st.lists(
+            st.fractions(min_value=0, max_value=20, max_denominator=12), max_size=8
+        )
+    )
+    @example([Fraction(0), Fraction(3, 4), Fraction(5, 6), Fraction(2)])
+    @settings(max_examples=200, deadline=None)
+    def test_cost_and_scale_reproduce_weights(self, weights):
+        inst = Instance.make(Graph.from_edges(len(weights), []), weight=weights)
+        assert all(type(c) is int for c in inst.cost)
+        assert [Fraction(c, inst.scale) for c in inst.cost] == list(inst.weights)
+        assert inst.scale == lcm(*(w.denominator for w in inst.weights))
+        assert inst.weight_of(range(len(weights))) == sum(weights)
+
+    def test_cost_is_derived_not_passed(self):
+        with pytest.raises(TypeError):
+            Instance(PATH3, (1, 1), (Fraction(1),) * 3, cost=(1, 1, 1))
 
 
 class TestMaxDemand:

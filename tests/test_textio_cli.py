@@ -346,6 +346,17 @@ class TestCli:
             assert cells[1] == cells[2]
             assert cells[3] in ("1", "-")
 
+    def test_bench_goes_on_past_the_oracle_budget(self, capsys):
+        # 30 interval vertices exceed the oracle's budget of 20
+        code, out = self.run(
+            capsys, "bench", "--class", "interval", "--seeds", "0..1", "--n", "30"
+        )
+        assert code == 0
+        rows = [row.split() for row in out.strip().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["0", "1"]
+        for row in rows:
+            assert row[1] != "inf" and row[2:4] == ["-", "-"]
+
     def test_split_solve(self, capsys, tmp_path):
         from edgemon import gen_split
 
