@@ -9,11 +9,11 @@ rebuilt afterwards by replaying the eliminations backwards.
 
 One breadth-first walk per component, over a vertex -> blocks index, gives
 every block the cut vertex that joins it to the root side; blocks are then
-eliminated in post-order, so no leaf search is needed, and each block's
-clique sub-instance is built once, from its own members, for both
-searches.  Apart from sorting blocks and members, and the clique searches,
-whose cost depends only on a block's size and demands, the elimination is
-linear in the size of the block-cut tree.
+eliminated in post-order, so no leaf search is needed.  The monitor table
+of the whole graph is built once, and each block reads its demand checks
+from it once, for both searches.  Apart from sorting blocks and members,
+and the clique searches, whose cost depends only on a block's size and
+demands, the elimination is linear in the size of the block-cut tree.
 """
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ from .core import (
     Solution,
     certify,
     is_monitoring_set,  # noqa: F401  unused here; edgebench's tracer hooks it
-    monitor_table,  # noqa: F401  unused here; edgebench's tracer hooks it
+    monitor_table,
     normalize_edge,
 )
-from .complete import solve_complete_cbounded
+from .complete import _cheapest, _pool
+from .complete import solve_complete_cbounded  # noqa: F401  edgebench's tracer hooks it
 
 
 @dataclass(frozen=True)
@@ -121,23 +122,6 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     )
 
 
-def _clique(
-    inst: Instance, block: frozenset[int], cost: list[int]
-) -> tuple[list[int], Instance]:
-    """A block's sorted members and its clique sub-instance on 0..k-1,
-    weighted by the current (possibly already modified) integer costs.  Its
-    scale is 1, so the numerator of each value it yields is that value on
-    the scale of `inst`."""
-    members = sorted(block)
-    pairs = list(combinations(range(len(members)), 2))
-    sub = Instance(
-        graph=Graph.from_edges(len(members), pairs),
-        demands=tuple(inst.demand(members[i], members[j]) for i, j in pairs),
-        weights=tuple(cost[v] for v in members),
-    )
-    return members, sub
-
-
 def _walk(
     tree: BlockCutTree, blocks_at: list[list[int]], root: int, reached: list[bool]
 ) -> list[tuple[int, int | None]]:
@@ -157,10 +141,10 @@ def _walk(
 def solve_block(inst: Instance, eliminate_last: bool = False) -> Solution:
     """Exact minimum-weight monitoring set of a block graph.
 
-    Each block's clique sub-instance is built once and settled by
-    `solve_complete_cbounded`: the plain optimum and, for a leaf, the
-    optimum forced through its cut vertex, so B blocks take B
-    sub-instances.
+    One monitor table serves every block: in a block graph the monitors of
+    an edge are the rest of its block.  Each block is settled by the
+    bounded clique search of `complete` over its own members: the plain
+    optimum and, for a leaf, the optimum forced through its cut vertex.
 
     Each component is rooted at its highest-index block and eliminated in
     block order, the post-order of `block_cut_tree`.  `eliminate_last`
@@ -179,7 +163,21 @@ def solve_block(inst: Instance, eliminate_last: bool = False) -> Solution:
         for v in blk:
             blocks_at[v].append(b)
 
+    mon = monitor_table(inst)
+    demand = inst.demand_map()
     cost = list(inst.cost)
+
+    def settle(b: int, cut: int | None = None):
+        """Block b's cheapest (weight, set) under the current costs and, with
+        `cut`, the cheapest holding it; None where no set qualifies."""
+        members = sorted(tree.blocks[b])
+        checks = [(mon[e], c) for e in combinations(members, 2) if (c := demand[e])]
+        cap = max((c for _, c in checks), default=0) + 2
+        plain = _cheapest(checks, cost, _pool(members, cap))
+        if plain is None or cut is None:
+            return plain, None
+        return plain, _cheapest(checks, cost, _pool(members, cap, cut))
+
     total = 0
     witness: set[int] = set()
     reached = [False] * len(tree.blocks)
@@ -192,32 +190,27 @@ def solve_block(inst: Instance, eliminate_last: bool = False) -> Solution:
         # each is a leaf when its turn comes, attached by the cut vertex it
         # was reached through
         leaves = reversed(order[1:]) if eliminate_last else sorted(order[1:])
-        # (cut vertex, block members, plain and forced witnesses in the
-        # block's own 0..k-1 numbering)
-        steps: list[tuple[int, list[int], tuple[int, ...], tuple[int, ...]]] = []
+        # (cut vertex, plain and forced witnesses)
+        steps: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
         for b, cut in leaves:
-            members, sub = _clique(inst, tree.blocks[b], cost)
-            plain = solve_complete_cbounded(sub)
-            if not plain.feasible:
+            plain, forced = settle(b, cut)
+            if plain is None:
                 return Solution.infeasible()
-            forced = solve_complete_cbounded(sub, force=members.index(cut))
             # forcing a vertex can neither lose feasibility nor beat the optimum
-            if not forced.feasible or forced.value < plain.value:
+            if forced is None or forced[0] < plain[0]:
                 raise RuntimeError(
                     "block elimination: forced optimum missing or below the plain one"
                 )
-            total += plain.value.numerator
-            steps.append((cut, members, plain.vertices, forced.vertices))
-            cost[cut] = (forced.value - plain.value).numerator
-        members, sub = _clique(inst, tree.blocks[root], cost)
-        final = solve_complete_cbounded(sub)
-        if not final.feasible:
+            total += plain[0]
+            steps.append((cut, plain[1], forced[1]))
+            cost[cut] = forced[0] - plain[0]
+        final, _ = settle(root)
+        if final is None:
             return Solution.infeasible()
-        total += final.value.numerator
-        comp_witness = {members[v] for v in final.vertices}
-        for cut, members, plain_vs, forced_vs in reversed(steps):
-            chosen = forced_vs if cut in comp_witness else plain_vs
-            comp_witness.update(members[v] for v in chosen)
+        total += final[0]
+        comp_witness = set(final[1])
+        for cut, plain_vs, forced_vs in reversed(steps):
+            comp_witness.update(forced_vs if cut in comp_witness else plain_vs)
         witness |= comp_witness
 
     return certify(inst, witness, total, "block elimination")

@@ -293,10 +293,8 @@ def _bench_instance(klass: str, seed: int, n: int) -> tuple[Instance, object]:
     if klass == "complete":
         return gen_complete(n, demand=(0, 2), weight=(1, 4, 4), seed=seed), None
     if klass == "block":
-        return (
-            gen_block_graph([3, 4, 3], demand=(0, 2), weight=(1, 4, 4), seed=seed),
-            None,
-        )
+        sizes = [4] * max(1, (n - 1) // 3)
+        return gen_block_graph(sizes, demand=(0, 2), weight=(1, 4, 4), seed=seed), None
     if klass == "interval":
         inst, real = gen_interval(n, demand=(0, 2), weight=(1, 4, 4), seed=seed)
         return inst, real
@@ -304,7 +302,8 @@ def _bench_instance(klass: str, seed: int, n: int) -> tuple[Instance, object]:
         inst, tree = gen_cograph(n, demand=1, weight=(1, 4, 4), seed=seed)
         return inst, tree
     if klass == "planar":
-        return gen_planar(3, 3, triangulate=True, demand=(0, 1), seed=seed), None
+        cols = max(1, n // 3)
+        return gen_planar(3, cols, triangulate=True, demand=(0, 1), seed=seed), None
     raise InputError(f"bench does not support class {klass!r}")
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import ceil
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Graph,
@@ -50,40 +50,44 @@ def gamma_bounds(inst: Instance) -> tuple[int, int]:
     return cmax, cmax + 2
 
 
-def _cheapest(inst: Instance, pool: Iterable[tuple[int, ...]]) -> Solution:
-    """The first minimum-weight monitoring set among the candidate sets of
-    `pool`, or infeasible when none of them monitors every edge."""
-    mon = monitor_table(inst)
-    checks = [(mon[e], c) for e, c in zip(inst.graph.edges, inst.demands) if c > 0]
-    cost = inst.cost
+def _cheapest(
+    checks: list[tuple[frozenset[int], int]],
+    cost: Sequence[int],
+    pool: Iterable[tuple[int, ...]],
+) -> tuple[int, tuple[int, ...]] | None:
+    """(integer weight, set) of the first minimum-weight candidate of `pool`
+    that meets every (monitors, demand) check, or None when none does."""
     best: tuple[int, tuple[int, ...]] | None = None
     for chosen in pool:
         w = sum(cost[v] for v in chosen)
         if (best is None or w < best[0]) and meets(checks, frozenset(chosen)):
             best = w, chosen
+    return best
+
+
+def _pool(
+    vertices: Sequence[int], cap: int, force: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Subsets of the sorted `vertices` of size <= cap, in ascending
+    cardinality then lexicographic order; with `force`, only those holding
+    it, each listed with `force` first."""
+    sizes = range(min(cap, len(vertices)) + 1)
+    if force is None:
+        return (c for size in sizes for c in combinations(vertices, size))
+    others = [v for v in vertices if v != force]
+    return (
+        (force,) + rest for size in sizes[1:] for rest in combinations(others, size - 1)
+    )
+
+
+def _search(inst: Instance, pool: Iterable[tuple[int, ...]]) -> Solution:
+    """`_cheapest` of `pool` against every demand of `inst`, as a Solution."""
+    mon = monitor_table(inst)
+    checks = [(mon[e], c) for e, c in zip(inst.graph.edges, inst.demands) if c > 0]
+    best = _cheapest(checks, inst.cost, pool)
     if best is None:
         return Solution.infeasible()
     return Solution.of(best[1], Fraction(best[0], inst.scale))
-
-
-def _enumerate_min_monitoring(
-    inst: Instance, cap: int, force: int | None = None
-) -> Solution:
-    """Minimum-weight monitoring set of size <= cap, by exhaustive search in
-    ascending cardinality then lexicographic order; the first set attaining
-    the minimum weight is kept."""
-    n = inst.graph.n
-    sizes = range(min(cap, n) + 1)
-    if force is None:
-        pool = (c for size in sizes for c in combinations(range(n), size))
-    else:
-        others = [v for v in range(n) if v != force]
-        pool = (
-            (force,) + rest
-            for size in sizes[1:]
-            for rest in combinations(others, size - 1)
-        )
-    return _cheapest(inst, pool)
 
 
 def solve_complete_cbounded(inst: Instance, force: int | None = None) -> Solution:
@@ -92,7 +96,8 @@ def solve_complete_cbounded(inst: Instance, force: int | None = None) -> Solutio
     _require_complete(inst)
     if force is not None and not (0 <= force < inst.graph.n):
         raise InputError(f"forced vertex {force} out of range")
-    return _enumerate_min_monitoring(inst, max_demand(inst) + 2, force)
+    pool = _pool(range(inst.graph.n), max_demand(inst) + 2, force)
+    return _search(inst, pool)
 
 
 def solve_complete_uniform(inst: Instance) -> Solution:
@@ -163,7 +168,7 @@ def ptas_complete(inst: Instance, epsilon) -> Solution:
     cmax = max_demand(inst)
     n = inst.graph.n
     if cmax <= k:
-        return _enumerate_min_monitoring(inst, k + 2)
+        return _search(inst, _pool(range(n), k + 2))
     if n < cmax + 2:
         return Solution.infeasible()
     order = sorted(range(n), key=lambda v: (inst.cost[v], v))
@@ -179,7 +184,7 @@ def ptas_complete(inst: Instance, epsilon) -> Solution:
                     for extra in combinations(outside, extra_size):
                         yield core_part + extra
 
-    best = _cheapest(inst, pool())
+    best = _search(inst, pool())
     if not best.feasible:
         raise RuntimeError("ptas_complete: the C+2 cheapest vertices must qualify")
     return best

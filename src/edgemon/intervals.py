@@ -41,6 +41,11 @@ Why this loses nothing:
 A forget check is `(bag_mask & ~(bit_u | bit_v)).bit_count()` plus the
 number of reaches above the larger bag position of u and v.
 
+Only the current step's table is kept.  Each key maps to the integer
+weight of its cheapest partial solution and that solution itself, as a
+bitmask over vertex ids, so the witness is read from the final empty key
+and no earlier table is needed.
+
 Among keys of equal weight the one recorded first wins: tables keep
 insertion order, and an introduce records every key without the new
 vertex before any branch that takes it.  This tie-break is not
@@ -286,7 +291,8 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
     The realization must induce exactly the instance graph.  Forget steps
     keep a key only when it meets every demand on edges between the
     forgotten vertex and the current bag; introduce steps branch on taking
-    the new vertex.  Witnesses are rebuilt from predecessor records.
+    the new vertex, adding its bit to the chosen-vertex mask.  The witness
+    is the mask of the one state left after the last forget.
     """
     decomp = nice_path_decomposition(real)
     real = decomp.realization
@@ -298,17 +304,15 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
     demand = inst.demand_map()
     bit = {v: 1 << r for v, r in real.right_rank().items()}
 
-    # (bag mask, reaches) -> (integer weight, predecessor key, vertex taken
-    # at this step or None)
+    # (bag mask, reaches) -> (integer weight, chosen vertices as a bitmask)
     Key = tuple[int, tuple[int, ...]]
-    tables: list[dict[Key, tuple[int, Key | None, int | None]]]
-    tables = [{(0, ()): (0, None, None)}]
+    table: dict[Key, tuple[int, int]] = {(0, ()): (0, 0)}
     order: list[int] = []  # the bag in left-endpoint order
 
     for kind, v in decomp.events:
         bv = bit[v]
         if kind == "forget":
-            nxt: dict[Key, tuple[int, Key | None, int | None]] = {}
+            nxt: dict[Key, tuple[int, int]] = {}
             p = order.index(v)
             checks = []
             for q, u in enumerate(order):
@@ -318,8 +322,7 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
             del order[p]
             full = len(order)
             rules: dict[tuple[int, ...], tuple[int, int, tuple[int, ...]]] = {}
-            for key, (weight, _, _) in tables[-1].items():
-                mask, reaches = key
+            for (mask, reaches), value in table.items():
                 rule = rules.get(reaches)
                 if rule is None:
                     rule = rules[reaches] = _forget_rule(reaches, checks, p)
@@ -332,14 +335,13 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
                     shifted = ((full,) + shifted)[: min(cmax, cap - base)]
                 nkey = (rest, shifted)
                 cur = nxt.get(nkey)
-                if cur is None or weight < cur[0]:
-                    nxt[nkey] = (weight, key, None)
+                if cur is None or value[0] < cur[0]:
+                    nxt[nkey] = value
         else:
             order.append(v)
-            cv = inst.cost[v]
-            nxt = {key: (weight, key, None) for key, (weight, _, _) in tables[-1].items()}
-            for key, (weight, _, _) in tables[-1].items():
-                mask, reaches = key
+            cv, vbit = inst.cost[v], 1 << v
+            nxt = dict(table)
+            for (mask, reaches), (weight, chosen) in table.items():
                 mask |= bv
                 if mask.bit_count() > cap:
                     mask &= mask - 1
@@ -347,24 +349,17 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
                 weight += cv
                 cur = nxt.get(nkey)
                 if cur is None or weight < cur[0]:
-                    nxt[nkey] = (weight, key, v)
+                    nxt[nkey] = (weight, chosen | vbit)
         if len(nxt) > _state_bound(len(order), cmax):
             raise RuntimeError("interval DP: more states than the key admits")
-        tables.append(nxt)
+        table = nxt
 
-    final = tables[-1]
-    if not final:
+    if not table:
         return Solution.infeasible()
-    if set(final) != {(0, ())}:
+    if set(table) != {(0, ())}:
         raise RuntimeError("interval DP: states must collapse once every bag is empty")
-    value = final[(0, ())][0]
-
-    taken: set[int] = set()
-    key: Key | None = (0, ())
-    for i in range(decomp.length, 0, -1):
-        _, key, got = tables[i][key]
-        if got is not None:
-            taken.add(got)
+    value, chosen = table[(0, ())]
+    taken = [v for v in range(g.n) if chosen >> v & 1]
     return certify(inst, taken, value, "interval DP")
 
 

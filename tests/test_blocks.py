@@ -238,15 +238,22 @@ class TestSolveBlock:
             assert is_monitoring_set(inst, mine.vertices)
 
     @pytest.mark.parametrize("sizes", [[4], [3, 5, 4], [3, 3, 6, 4], [4] * 10])
-    def test_one_sub_instance_per_block(self, sizes, monkeypatch):
-        inst = gen_block_graph(sizes, demand=(0, 1), weight=(1, 3, 4), seed=3)
-        calls = []
-        from_edges = Graph.from_edges
+    def test_one_monitor_table_per_solve(self, sizes, monkeypatch):
+        import edgemon.blocks
 
-        def counting(n, edges):
-            calls.append(n)
+        inst = gen_block_graph(sizes, demand=(0, 1), weight=(1, 3, 4), seed=3)
+        graphs, tables = [], []
+        from_edges, monitor_table = Graph.from_edges, edgemon.blocks.monitor_table
+
+        def counting_graph(n, edges):
+            graphs.append(n)
             return from_edges(n, edges)
 
-        monkeypatch.setattr(Graph, "from_edges", staticmethod(counting))
+        def counting_table(i):
+            tables.append(i)
+            return monitor_table(i)
+
+        monkeypatch.setattr(Graph, "from_edges", staticmethod(counting_graph))
+        monkeypatch.setattr(edgemon.blocks, "monitor_table", counting_table)
         assert solve_block(inst).feasible
-        assert len(calls) == len(block_cut_tree(inst.graph).blocks) == len(sizes)
+        assert (len(graphs), len(tables)) == (0, 1)

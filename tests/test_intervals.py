@@ -1,5 +1,7 @@
 """Interval realizations, the path decomposition, and the summary DP."""
 
+import hashlib
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -24,31 +26,37 @@ from edgemon.intervals import check_nice_path_decomposition, clique_number
 import bruteforce as bf
 
 # solve_interval values on larger generator instances, captured from the DP
-# that keyed states by vertex tuples: (n, lengths, demand, weight, seed,
-# value or None when infeasible)
+# that keyed states by vertex tuples, and witness digests, captured from the
+# DP that rebuilt witnesses from per-step predecessor records: (n, lengths,
+# demand, weight, seed, value and digest, or None for both when infeasible)
 PINNED_VALUES = [
-    (20, "random", (0, 2), (0, 3, 1), 0, "2"),
-    (20, "random", (0, 3), (1, 4, 4), 0, "39/4"),
-    (24, "random", (0, 3), (0, 3, 1), 1, "3"),
-    (24, "random", (0, 3), (1, 4, 4), 3, None),
-    (28, "random", (0, 2), (0, 3, 1), 2, "0"),
-    (28, "random", (0, 3), (1, 4, 4), 3, "16"),
-    (32, "random", (0, 2), (1, 4, 4), 1, "11/2"),
-    (32, "random", (0, 3), (0, 3, 1), 3, "6"),
-    (36, "random", (0, 2), (0, 3, 1), 3, "1"),
-    (36, "random", (0, 2), (1, 4, 4), 3, "15/2"),
-    (40, "random", (0, 2), (1, 4, 4), 3, "41/4"),
-    (40, "random", (0, 2), (0, 3, 1), 3, "3"),
-    (20, "unit", (0, 3), (0, 3, 1), 1, "26"),
-    (20, "unit", (0, 3), (1, 4, 4), 2, None),
-    (24, "unit", (0, 2), (1, 4, 4), 1, "53/4"),
-    (28, "unit", (0, 3), (1, 4, 4), 2, "105/4"),
-    (32, "unit", (0, 3), (0, 3, 1), 0, "12"),
-    (36, "unit", (0, 2), (0, 3, 1), 2, "2"),
-    (36, "unit", (0, 3), (1, 4, 4), 3, "81/4"),
-    (40, "unit", (0, 3), (0, 3, 1), 2, "8"),
-    (40, "unit", (0, 2), (1, 4, 4), 0, "61/4"),
+    (20, "random", (0, 2), (0, 3, 1), 0, "2", "a498feb6d99d0ea5"),
+    (20, "random", (0, 3), (1, 4, 4), 0, "39/4", "bbb940977ee3b333"),
+    (24, "random", (0, 3), (0, 3, 1), 1, "3", "28d98dfa8453e75f"),
+    (24, "random", (0, 3), (1, 4, 4), 3, None, None),
+    (28, "random", (0, 2), (0, 3, 1), 2, "0", "814efc1e1fb73d14"),
+    (28, "random", (0, 3), (1, 4, 4), 3, "16", "72045dac15a03fc9"),
+    (32, "random", (0, 2), (1, 4, 4), 1, "11/2", "70149cd5b689c09c"),
+    (32, "random", (0, 3), (0, 3, 1), 3, "6", "86750af9606af55d"),
+    (36, "random", (0, 2), (0, 3, 1), 3, "1", "61d70b6da3960845"),
+    (36, "random", (0, 2), (1, 4, 4), 3, "15/2", "860fc3b31bd62be8"),
+    (40, "random", (0, 2), (1, 4, 4), 3, "41/4", "39e6c71197d1fe89"),
+    (40, "random", (0, 2), (0, 3, 1), 3, "3", "2192d54d65fe0a50"),
+    (20, "unit", (0, 3), (0, 3, 1), 1, "26", "86cb219736dc9722"),
+    (20, "unit", (0, 3), (1, 4, 4), 2, None, None),
+    (24, "unit", (0, 2), (1, 4, 4), 1, "53/4", "3f8d8100270872b5"),
+    (28, "unit", (0, 3), (1, 4, 4), 2, "105/4", "f4bf879cae0787fd"),
+    (32, "unit", (0, 3), (0, 3, 1), 0, "12", "285d0e1fec7eae42"),
+    (36, "unit", (0, 2), (0, 3, 1), 2, "2", "4aef1fc95a7dcdd6"),
+    (36, "unit", (0, 3), (1, 4, 4), 3, "81/4", "987145f12a45dc65"),
+    (40, "unit", (0, 3), (0, 3, 1), 2, "8", "20da6dafa237deb4"),
+    (40, "unit", (0, 2), (1, 4, 4), 0, "61/4", "4b02880946724181"),
 ]
+
+
+def witness_digest(vertices) -> str:
+    text = " ".join(map(str, vertices))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 class TestRealization:
@@ -220,11 +228,11 @@ class TestSolveInterval:
             assert mine.value == ref.value
 
     @pytest.mark.parametrize(
-        "n,lengths,demand,weight,seed,value",
+        "n,lengths,demand,weight,seed,value,digest",
         PINNED_VALUES,
         ids=[f"{p[1]}{p[0]}-d{p[2][1]}-w{p[3][0]}-s{p[4]}" for p in PINNED_VALUES],
     )
-    def test_pinned_values(self, n, lengths, demand, weight, seed, value):
+    def test_pinned_values(self, n, lengths, demand, weight, seed, value, digest):
         inst, real = gen_interval(
             n, lengths=lengths, demand=demand, weight=weight, seed=seed
         )
@@ -234,6 +242,18 @@ class TestSolveInterval:
             return
         assert sol.value == Fraction(value) == inst.weight_of(sol.vertices)
         assert is_monitoring_set(inst, sol.vertices)
+        assert witness_digest(sol.vertices) == digest
+
+    def test_memory_stays_with_one_step(self):
+        # only the current step's table is kept, not every step's
+        inst, real = gen_interval(30, demand=(0, 2), seed=0)
+        tracemalloc.start()
+        try:
+            solve_interval(inst, real)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_repaired_realization_still_solves(self):
         real = IntervalRealization(((0, 4), (4, 8), (0, 8)))

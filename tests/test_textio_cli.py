@@ -357,6 +357,19 @@ class TestCli:
         for row in rows:
             assert row[1] != "inf" and row[2:4] == ["-", "-"]
 
+    def test_bench_block_follows_n(self, capsys):
+        def rows(*extra):
+            code, out = self.run(
+                capsys, "bench", "--class", "block", "--seeds", "0..9", *extra
+            )
+            assert code == 0
+            return [row.split()[:4] for row in out.strip().splitlines()[1:]]
+
+        assert rows("--n", "7") != rows("--n", "13")
+        default = rows()
+        assert len(default) == 10
+        assert all("inf" not in row for row in default)
+
     def test_split_solve(self, capsys, tmp_path):
         from edgemon import gen_split
 
