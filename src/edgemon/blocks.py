@@ -7,13 +7,15 @@ vertex then carries the price difference of those two into the remainder
 as its new weight, and the remainder shrinks by one block.  Witnesses are
 rebuilt afterwards by replaying the eliminations backwards.
 
-One breadth-first walk per component, over a vertex -> blocks index, gives
-every block the cut vertex that joins it to the root side; blocks are then
-eliminated in post-order, so no leaf search is needed.  The monitor table
-of the whole graph is built once, and each block reads its demand checks
-from it once, for both searches.  Apart from sorting blocks and members,
-and the clique searches, whose cost depends only on a block's size and
-demands, the elimination is linear in the size of the block-cut tree.
+The depth-first search that finds the blocks emits them in post-order
+and records, for each, the cut vertex it shares with the blocks after it
+(`BlockCutTree.attach`).  Eliminating blocks in that order makes each a
+leaf when its turn comes, so the solver needs no walk of its own and no
+leaf search.  The monitor table of the whole graph is built once, and each
+block reads its demand checks from it once, for both searches.  Apart from
+sorting blocks and members, and the clique searches, whose cost depends
+only on a block's size and demands, the elimination is linear in the size
+of the block-cut tree.
 """
 
 from __future__ import annotations
@@ -44,12 +46,16 @@ class BlockCutTree:
     clique test are flagged, not rejected, so callers decide whether the
     input qualifies as a block graph.  Blocks come in post-order of the
     depth-first search: rooted at the last block of its component, every
-    block comes after the blocks hanging below it.
+    block comes after the blocks hanging below it.  `attach[i]` is the one
+    vertex block i shares with the later blocks of its component, the cut
+    vertex towards its parent; it is None for the last block of each
+    component, singleton blocks included.
     """
 
     blocks: tuple[frozenset[int], ...]
     cutpoints: frozenset[int]
     non_clique_blocks: tuple[int, ...]
+    attach: tuple[int | None, ...]
 
 
 def block_cut_tree(g: Graph) -> BlockCutTree:
@@ -59,9 +65,11 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     timer = 0
     edge_stack: list[Edge] = []
     blocks: list[frozenset[int]] = []
+    attach: list[int | None] = []
     cutpoints: set[int] = set()
 
-    def pop_component(marker: Edge) -> None:
+    def pop_component(p: int, u: int) -> None:
+        marker = normalize_edge(p, u)
         members: set[int] = set()
         while True:
             e = edge_stack.pop()
@@ -69,6 +77,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
             if e == marker:
                 break
         blocks.append(frozenset(members))
+        attach.append(p)
 
     def dfs(root: int) -> None:
         nonlocal timer
@@ -104,113 +113,72 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
                 if low[u] >= disc[p]:
                     if p != root or root_children > 1:
                         cutpoints.add(p)
-                    pop_component(normalize_edge(p, u))
+                    pop_component(p, u)
 
     for v in range(g.n):
         if v not in disc:
             dfs(v)
             if not g.neighbors(v):
                 blocks.append(frozenset({v}))
+                attach.append(None)
+            else:  # the component's last block shares no vertex with later ones
+                attach[-1] = None
 
-    non_clique = tuple(
-        i for i, blk in enumerate(blocks) if not g.is_clique(blk)
-    )
+    non_clique = tuple(i for i, blk in enumerate(blocks) if not g.is_clique(blk))
     return BlockCutTree(
         blocks=tuple(blocks),
         cutpoints=frozenset(cutpoints),
         non_clique_blocks=non_clique,
+        attach=tuple(attach),
     )
 
 
-def _walk(
-    tree: BlockCutTree, blocks_at: list[list[int]], root: int, reached: list[bool]
-) -> list[tuple[int, int | None]]:
-    """Breadth-first order of the blocks in root's component, each paired
-    with the cut vertex it was reached through (None for the root)."""
-    reached[root] = True
-    order: list[tuple[int, int | None]] = [(root, None)]
-    for b, _ in order:
-        for v in sorted(tree.blocks[b]):
-            for nb in blocks_at[v]:
-                if not reached[nb]:
-                    reached[nb] = True
-                    order.append((nb, v))
-    return order
-
-
-def solve_block(inst: Instance, eliminate_last: bool = False) -> Solution:
+def solve_block(inst: Instance) -> Solution:
     """Exact minimum-weight monitoring set of a block graph.
 
     One monitor table serves every block: in a block graph the monitors of
-    an edge are the rest of its block.  Each block is settled by the
-    bounded clique search of `complete` over its own members: the plain
-    optimum and, for a leaf, the optimum forced through its cut vertex.
-
-    Each component is rooted at its highest-index block and eliminated in
-    block order, the post-order of `block_cut_tree`.  `eliminate_last`
-    roots it at the lowest-index block instead and eliminates in reverse
-    breadth-first order: a second valid elimination order, rooted at the
-    other end.
+    an edge are the rest of its block.  Blocks are settled in the order of
+    `block_cut_tree`, each by the bounded clique search of `complete` over
+    its own members.  A block with an `attach` vertex is a leaf of what is
+    left: it is settled plain and forced through that vertex, which is then
+    re-priced.  A block without one ends its component: it is settled plain,
+    and the component's witness is rebuilt from the recorded steps.
     """
-    g = inst.graph
-    tree = block_cut_tree(g)
+    tree = block_cut_tree(inst.graph)
     if tree.non_clique_blocks:
         raise InputError(
             f"not a block graph: blocks {list(tree.non_clique_blocks)} are not cliques"
         )
-    blocks_at: list[list[int]] = [[] for _ in range(g.n)]
-    for b, blk in enumerate(tree.blocks):
-        for v in blk:
-            blocks_at[v].append(b)
-
     mon = monitor_table(inst)
     demand = inst.demand_map()
     cost = list(inst.cost)
 
-    def settle(b: int, cut: int | None = None):
-        """Block b's cheapest (weight, set) under the current costs and, with
-        `cut`, the cheapest holding it; None where no set qualifies."""
-        members = sorted(tree.blocks[b])
+    total = 0
+    witness: set[int] = set()
+    # (cut vertex, plain and forced witnesses) of the component so far
+    steps: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+    for blk, cut in zip(tree.blocks, tree.attach):
+        members = sorted(blk)
         checks = [(mon[e], c) for e in combinations(members, 2) if (c := demand[e])]
         cap = max((c for _, c in checks), default=0) + 2
         plain = _cheapest(checks, cost, _pool(members, cap))
-        if plain is None or cut is None:
-            return plain, None
-        return plain, _cheapest(checks, cost, _pool(members, cap, cut))
-
-    total = 0
-    witness: set[int] = set()
-    reached = [False] * len(tree.blocks)
-    roots = range(len(tree.blocks))
-    for root in roots if eliminate_last else reversed(roots):
-        if reached[root]:
-            continue
-        order = _walk(tree, blocks_at, root, reached)
-        # both orders put every block after the blocks hanging below it, so
-        # each is a leaf when its turn comes, attached by the cut vertex it
-        # was reached through
-        leaves = reversed(order[1:]) if eliminate_last else sorted(order[1:])
-        # (cut vertex, plain and forced witnesses)
-        steps: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
-        for b, cut in leaves:
-            plain, forced = settle(b, cut)
-            if plain is None:
-                return Solution.infeasible()
-            # forcing a vertex can neither lose feasibility nor beat the optimum
-            if forced is None or forced[0] < plain[0]:
-                raise RuntimeError(
-                    "block elimination: forced optimum missing or below the plain one"
-                )
-            total += plain[0]
-            steps.append((cut, plain[1], forced[1]))
-            cost[cut] = forced[0] - plain[0]
-        final, _ = settle(root)
-        if final is None:
+        if plain is None:
             return Solution.infeasible()
-        total += final[0]
-        comp_witness = set(final[1])
-        for cut, plain_vs, forced_vs in reversed(steps):
-            comp_witness.update(forced_vs if cut in comp_witness else plain_vs)
-        witness |= comp_witness
+        total += plain[0]
+        if cut is None:
+            comp_witness = set(plain[1])
+            for at, plain_vs, forced_vs in reversed(steps):
+                comp_witness.update(forced_vs if at in comp_witness else plain_vs)
+            witness |= comp_witness
+            steps.clear()
+            continue
+        forced = _cheapest(checks, cost, _pool(members, cap, cut))
+        # forcing a vertex can neither lose feasibility nor beat the optimum
+        if forced is None or forced[0] < plain[0]:
+            raise RuntimeError(
+                "block elimination: forced optimum missing or below the plain one"
+            )
+        steps.append((cut, plain[1], forced[1]))
+        cost[cut] = forced[0] - plain[0]
 
     return certify(inst, witness, total, "block elimination")

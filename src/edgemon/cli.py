@@ -11,10 +11,13 @@ Machine-readable output is line oriented:
     set <v1> <v2> ...
 
 Exit codes: 0 solved / verified true, 1 infeasible / verified false,
-2 usage or input error, 3 budget exceeded.  Values print as exact
-rationals in lowest terms.  EM_BUDGET_VERTICES overrides the oracle's
-vertex budget.  --threads is accepted for interface stability; all
-solvers here run sequentially, which keeps output reproducible.
+2 usage or input error, 3 budget exceeded.  Malformed arguments (specs
+such as --demand, --weight, --blocks, --epsilon or --seeds), solution
+files with a token that is not a vertex id, and files that are not UTF-8
+text all exit 2.  Values print as exact rationals in lowest terms.
+EM_BUDGET_VERTICES overrides the oracle's vertex budget.  --threads is
+accepted for interface stability; all solvers here run sequentially,
+which keeps output reproducible.
 """
 
 from __future__ import annotations
@@ -74,8 +77,11 @@ def _read_document(path: str | None) -> InstanceDocument:
 
 
 def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _write_out(text: str, path: str | None) -> None:
@@ -110,6 +116,29 @@ def _parse_weight_spec(text: str):
             return Fraction(lo), Fraction(hi), int(den)
         return Fraction(lo), Fraction(rest), 1
     return Fraction(text)
+
+
+def _parse_block_sizes(text: str) -> list[int]:
+    return [int(s) for s in text.split(",")]
+
+
+def _parse_seed_range(text: str) -> range:
+    lo, hi = (int(s) for s in text.split("..", 1))
+    return range(lo, hi + 1)
+
+
+def _spec(parse, what: str):
+    """An argparse `type` that parses with `parse`: a text it rejects with
+    ValueError or ZeroDivisionError becomes argparse's usage error (exit 2),
+    not a traceback."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"malformed {what} {text!r}") from None
+
+    return convert
 
 
 def _solve_auto(doc: InstanceDocument) -> Solution:
@@ -165,11 +194,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_approx(args) -> int:
     doc = _read_document(args.infile)
-    eps = Fraction(args.epsilon)
     if args.klass == "complete":
-        sol = ptas_complete(doc.instance, eps)
+        sol = ptas_complete(doc.instance, args.epsilon)
     else:
-        sol = ptas_planar(doc.instance, eps, budget=_budget_from_env())
+        sol = ptas_planar(doc.instance, args.epsilon, budget=_budget_from_env())
     return _print_solution(sol)
 
 
@@ -181,17 +209,20 @@ def _cmd_oracle(args) -> int:
 
 def _parse_solution_file(text: str) -> tuple[int, ...]:
     ids: list[int] = []
-    for raw in text.splitlines():
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("status"):
-            continue
-        if line.startswith("value"):
+        if not line or line.startswith(("#", "status", "value")):
             continue
         parts = line.split()
         if parts[0] == "set":
             parts = parts[1:]
         for token in parts:
-            ids.append(int(token))
+            try:
+                ids.append(int(token))
+            except ValueError:
+                raise InputError(
+                    f"solution line {line_no}: bad vertex id {token!r}"
+                ) from None
     return tuple(sorted(set(ids)))
 
 
@@ -211,43 +242,28 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    demand = _parse_demand_spec(args.demand)
-    weight = _parse_weight_spec(args.weight)
-    seed = args.seed
+    spec = dict(demand=args.demand, weight=args.weight, seed=args.seed)
     realization = None
     cotree = None
-    comments = [f"# edgemon generate --class {args.klass} --seed {seed}"]
+    comments = [f"# edgemon generate --class {args.klass} --seed {args.seed}"]
     if args.klass == "complete":
-        inst = gen_complete(args.n, demand=demand, weight=weight, seed=seed)
+        inst = gen_complete(args.n, **spec)
     elif args.klass == "block":
-        sizes = [int(s) for s in args.blocks.split(",")]
-        inst = gen_block_graph(sizes, demand=demand, weight=weight, seed=seed)
+        inst = gen_block_graph(args.blocks, **spec)
     elif args.klass == "interval":
         lengths = "unit" if args.unit_lengths else "random"
-        inst, realization = gen_interval(
-            args.n, lengths=lengths, demand=demand, weight=weight, seed=seed
-        )
+        inst, realization = gen_interval(args.n, lengths=lengths, **spec)
     elif args.klass == "cograph":
-        inst, cotree = gen_cograph(args.n, demand=demand, weight=weight, seed=seed)
+        inst, cotree = gen_cograph(args.n, **spec)
     elif args.klass == "split":
         inst = gen_split(
-            args.clique,
-            args.independent,
-            edge_prob=Fraction(args.edge_prob),
-            demand=demand,
-            weight=weight,
-            seed=seed,
-            min_degree=args.min_degree,
+            args.clique, args.independent, edge_prob=args.edge_prob,
+            min_degree=args.min_degree, **spec,
         )
     elif args.klass == "planar":
-        inst = gen_planar(
-            args.rows, args.cols, triangulate=args.triangulate,
-            demand=demand, weight=weight, seed=seed,
-        )
+        inst = gen_planar(args.rows, args.cols, triangulate=args.triangulate, **spec)
     else:
-        inst, coords = gen_unit_disk(
-            args.n, box=args.box, demand=demand, weight=weight, seed=seed
-        )
+        inst, coords = gen_unit_disk(args.n, box=args.box, **spec)
         comments += [
             f"# coord {v} {x} {y}" for v, (x, y) in enumerate(coords)
         ]
@@ -308,16 +324,15 @@ def _bench_instance(klass: str, seed: int, n: int) -> tuple[Instance, object]:
 
 
 def _cmd_bench(args) -> int:
-    lo, hi = (int(s) for s in args.seeds.split("..", 1))
     budget = _budget_from_env()
     print("seed solver oracle ratio ms")
-    for seed in range(lo, hi + 1):
+    for seed in args.seeds:
         inst, certificate = _bench_instance(args.klass, seed, args.n)
         started = time.perf_counter()
         if args.klass == "complete":
             sol = (
-                ptas_complete(inst, Fraction(args.epsilon))
-                if args.epsilon
+                ptas_complete(inst, args.epsilon)
+                if args.epsilon is not None
                 else solve_complete_cbounded(inst)
             )
         elif args.klass == "block":
@@ -327,7 +342,8 @@ def _cmd_bench(args) -> int:
         elif args.klass == "cograph":
             sol = solve_cograph(inst, certificate)
         else:
-            sol = ptas_planar(inst, Fraction(args.epsilon or "1"), budget=budget)
+            eps = Fraction(1) if args.epsilon is None else args.epsilon
+            sol = ptas_planar(inst, eps, budget=budget)
         elapsed = (time.perf_counter() - started) * 1000
         try:
             reference = exact_gamma_m(inst, budget=budget)
@@ -351,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="edgemon",
         description="Weighted edge monitoring solvers and instance tooling.",
     )
+    fraction = _spec(Fraction, "fraction")
     parser.add_argument(
         "--threads", type=int, default=1,
         help="reserved; solvers currently run on one thread",
@@ -369,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument(
         "--class", dest="klass", required=True, choices=["complete", "planar"]
     )
-    p_approx.add_argument("--epsilon", required=True)
+    p_approx.add_argument("--epsilon", required=True, type=fraction)
     p_approx.add_argument("--in", dest="infile", default=None)
     p_approx.set_defaults(func=_cmd_approx)
 
@@ -392,15 +409,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gen.add_argument("--n", type=int, default=8)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--demand", default="1", help="constant or lo..hi")
     p_gen.add_argument(
-        "--weight", default="1", help="constant, or lo..hi:denominator"
+        "--demand", default="1", type=_spec(_parse_demand_spec, "demand spec"),
+        help="constant or lo..hi",
     )
-    p_gen.add_argument("--blocks", default="3,3", help="block sizes, comma separated")
+    p_gen.add_argument(
+        "--weight", default="1", type=_spec(_parse_weight_spec, "weight spec"),
+        help="constant, or lo..hi:denominator",
+    )
+    p_gen.add_argument(
+        "--blocks", default="3,3", help="block sizes, comma separated",
+        type=_spec(_parse_block_sizes, "block sizes"),
+    )
     p_gen.add_argument("--unit-lengths", action="store_true")
     p_gen.add_argument("--clique", type=int, default=4)
     p_gen.add_argument("--independent", type=int, default=3)
-    p_gen.add_argument("--edge-prob", default="1/2")
+    p_gen.add_argument("--edge-prob", default="1/2", type=fraction)
     p_gen.add_argument("--min-degree", type=int, default=None)
     p_gen.add_argument("--rows", type=int, default=3)
     p_gen.add_argument("--cols", type=int, default=3)
@@ -424,9 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--class", dest="klass", required=True,
         choices=["complete", "block", "interval", "cograph", "planar"],
     )
-    p_bench.add_argument("--seeds", default="0..9", help="inclusive range a..b")
+    p_bench.add_argument(
+        "--seeds", default="0..9", help="inclusive range a..b",
+        type=_spec(_parse_seed_range, "seed range"),
+    )
     p_bench.add_argument("--n", type=int, default=10)
-    p_bench.add_argument("--epsilon", default=None)
+    p_bench.add_argument("--epsilon", default=None, type=fraction)
     p_bench.set_defaults(func=_cmd_bench)
     return parser
 

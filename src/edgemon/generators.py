@@ -64,29 +64,29 @@ class SplitMix64:
         return out
 
 
-def _draw_demands(rng: SplitMix64, edges: tuple[Edge, ...], spec) -> dict[Edge, int]:
+def _draw_demands(rng: SplitMix64, m: int, spec) -> tuple[int, ...]:
+    """Demands of the m edges, in edge order."""
     if isinstance(spec, tuple):
         lo, hi = spec
         if not 0 <= lo <= hi:
             raise InputError("demand range must satisfy 0 <= lo <= hi")
-        return {e: lo + rng.below(hi - lo + 1) for e in edges}
-    return {e: int(spec) for e in edges}
+        return tuple(lo + rng.below(hi - lo + 1) for _ in range(m))
+    return (int(spec),) * m
 
 
-def _draw_weights(rng: SplitMix64, n: int, spec) -> list[Fraction]:
+def _draw_weights(rng: SplitMix64, n: int, spec) -> tuple[Fraction, ...]:
     if isinstance(spec, tuple):
         lo, hi, den = Fraction(spec[0]), Fraction(spec[1]), int(spec[2])
         if lo > hi or den <= 0:
             raise InputError("weight range must satisfy lo <= hi, denominator > 0")
         steps = int((hi - lo) * den)
-        return [lo + Fraction(rng.below(steps + 1), den) for _ in range(n)]
-    return [as_weight(spec) for _ in range(n)]
+        return tuple(lo + Fraction(rng.below(steps + 1), den) for _ in range(n))
+    return (as_weight(spec),) * n
 
 
 def _instantiate(g: Graph, rng: SplitMix64, demand, weight) -> Instance:
-    demands = _draw_demands(rng, g.edges, demand)
-    weights = _draw_weights(rng, g.n, weight)
-    return Instance.make(g, demand=demands, weight=weights)
+    demands = _draw_demands(rng, g.m, demand)
+    return Instance(g, demands, _draw_weights(rng, g.n, weight))
 
 
 def gen_complete(n: int, demand=1, weight=1, seed: int = 0) -> Instance:

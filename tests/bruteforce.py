@@ -70,3 +70,14 @@ def brute_alpha(g: Graph) -> int:
             if not any(g.has_edge(a, b) for a, b in combinations(combo, 2)):
                 return size
     return best
+
+
+def reversed_ids(inst: Instance) -> Instance:
+    """The same instance with vertex v renamed n - 1 - v: a depth-first
+    search over it starts at the other end, so a solver meets the blocks
+    or vertices in another order."""
+    n = inst.graph.n
+    flip = {(u, v): (n - 1 - v, n - 1 - u) for u, v in inst.graph.edges}
+    g = Graph.from_edges(n, flip.values())
+    demand = {flip[e]: c for e, c in zip(inst.graph.edges, inst.demands)}
+    return Instance.make(g, demand=demand, weight=inst.weights[::-1])

@@ -10,11 +10,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
+from bruteforce import reversed_ids
 from edgemon import (
     GenerationError,
     Graph,
     Instance,
     SplitMix64,
+    block_cut_tree,
     domination_predicates,
     exact_double_dom,
     exact_gamma_m,
@@ -111,6 +113,7 @@ def test_c03_interval_dp_equals_oracle():
 def test_c04_block_solver_equals_oracle():
     with criterion(4, "50 block graphs: solver equals oracle, order independent"):
         rng = SplitMix64(20_04)
+        other_roots = 0
         for trial in range(50):
             count = 2 + rng.below(3)
             sizes = [2 + rng.below(4) for _ in range(count)]
@@ -124,11 +127,17 @@ def test_c04_block_solver_equals_oracle():
             assert mine.feasible == ref.feasible
             if mine.feasible:
                 assert mine.value == ref.value
-            if trial < 10:
-                other = solve_block(inst, eliminate_last=True)
-                assert other.feasible == mine.feasible
-                if mine.feasible:
-                    assert other.value == mine.value
+            # the copy with reversed ids is eliminated in another order
+            copy = reversed_ids(inst)
+            n = inst.graph.n
+            root = block_cut_tree(inst.graph).blocks[-1]
+            copy_root = block_cut_tree(copy.graph).blocks[-1]
+            other_roots += root != {n - 1 - v for v in copy_root}
+            other = solve_block(copy)
+            assert other.feasible == mine.feasible
+            if mine.feasible:
+                assert other.value == mine.value
+        assert other_roots, "the reversed copies never changed the root block"
 
 
 def test_c05_cograph_solver_equals_oracle():

@@ -191,6 +191,41 @@ class TestCli:
         code, _ = self.run(capsys, "oracle", "--in", path)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--solution", "{bad_sol}", "--in", "{k3}"],
+            ["verify", "--solution", "{binary}", "--in", "{k3}"],
+            ["solve", "--in", "{binary}"],
+            ["generate", "--class", "block", "--demand", "x"],
+            ["generate", "--class", "block", "--weight", "1..y"],
+            ["generate", "--class", "block", "--blocks", "4,z"],
+            ["generate", "--class", "split", "--edge-prob", "1/x"],
+            ["approx", "--class", "complete", "--epsilon", "abc", "--in", "{k3}"],
+            ["approx", "--class", "complete", "--epsilon", "1/0", "--in", "{k3}"],
+            ["bench", "--class", "block", "--seeds", "3"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_malformed_input_is_a_usage_error(self, tmp_path, argv):
+        k3 = "p em 3 3\ne 0 1 1\ne 0 2 1\ne 1 2 1\n"
+        files = {
+            "k3": self.write(tmp_path, "k3.em", k3),
+            "bad_sol": self.write(tmp_path, "bad.sol", "status feasible\nset 0 x 2\n"),
+            "binary": str(tmp_path / "binary.em"),
+        }
+        (tmp_path / "binary.em").write_bytes(b"p em 2 1\n\xff\xfe\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "edgemon.cli", *(a.format(**files) for a in argv)],
+            capture_output=True, text=True, check=False, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr and "error:" in done.stderr
+        if "{bad_sol}" in argv:  # the error names the line
+            assert "line 2" in done.stderr
+
     def test_duplicate_edge_exit_code(self, capsys, tmp_path):
         path = self.write(tmp_path, "dup.em", "p em 4 2\ne 1 3 1\ne 3 1 1\n")
         code, out = self.run(capsys, "solve", "--in", path)
