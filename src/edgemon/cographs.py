@@ -44,33 +44,44 @@ class Cotree:
         return Cotree(kind, None, tuple(children))
 
     def leaves(self) -> tuple[int, ...]:
-        if self.kind == "leaf":
-            return (self.vertex,)
+        """Leaf vertices, left to right."""
         out: list[int] = []
-        for child in self.children:
-            out.extend(child.leaves())
+        stack: list[Cotree] = [self]
+        while stack:
+            node = stack.pop()
+            if node.kind == "leaf":
+                out.append(node.vertex)
+            else:
+                stack.extend(reversed(node.children))
         return tuple(out)
 
     def realize(self, n: int) -> Graph:
-        """The graph this tree describes; leaves must be exactly 0..n-1."""
-        leaves = self.leaves()
-        if sorted(leaves) != list(range(n)):
+        """The graph this tree describes; leaves must be exactly 0..n-1.
+
+        A post-order walk on an explicit stack, so depth costs no
+        recursion: `parts` holds the leaf tuples of the finished subtrees,
+        and a finished node replaces its children's tuples by their
+        concatenation, after linking every pair of them if it is a join."""
+        if sorted(self.leaves()) != list(range(n)):
             raise InputError("cotree leaves must be exactly 0..n-1")
         edges: list[tuple[int, int]] = []
-
-        def walk(node: Cotree) -> tuple[int, ...]:
+        parts: list[tuple[int, ...]] = []
+        stack: list[tuple[Cotree, bool]] = [(self, False)]
+        while stack:
+            node, finished = stack.pop()
             if node.kind == "leaf":
-                return (node.vertex,)
-            parts = [walk(child) for child in node.children]
-            if node.kind == "join":
-                for a in range(len(parts)):
-                    for b in range(a + 1, len(parts)):
-                        edges.extend(
-                            (u, v) for u in parts[a] for v in parts[b]
-                        )
-            return tuple(v for part in parts for v in part)
-
-        walk(self)
+                parts.append((node.vertex,))
+            elif not finished:
+                stack.append((node, True))
+                stack.extend((child, False) for child in reversed(node.children))
+            else:
+                mine = parts[-len(node.children):]
+                del parts[-len(node.children):]
+                if node.kind == "join":
+                    for a, part in enumerate(mine):
+                        for other in mine[a + 1:]:
+                            edges.extend((u, v) for u in part for v in other)
+                parts.append(tuple(v for part in mine for v in part))
         return Graph.from_edges(n, edges)
 
     def to_expr(self) -> str:

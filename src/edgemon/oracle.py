@@ -6,16 +6,23 @@ set S meeting |S ∩ cand_j| >= need_j for a list of constraints.  A single
 branch-and-bound engine solves that form; the public wrappers just phrase
 their problem as constraints.
 
-Determinism: among minimum-weight solutions the engine reports the
-lexicographically smallest sorted vertex tuple, so golden values and
-witnesses are stable across runs.
+Determinism: the search is a fixed function of its input, so golden
+values and witnesses are stable across runs.  Under positive weights the
+witness is the lexicographically smallest minimum-weight sorted vertex
+tuple.  With zero weights the value is still the minimum, but the search
+only adds candidates of constraints that are still unmet, so a zero-weight
+vertex no such constraint needs is never added, even where adding it would
+sort first: weights (0, 1, 0, 1) with the one constraint ({1, 3}, 2) give
+(1, 3), although (0, 1, 3) weighs the same.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Sequence
 
 from .core import (
@@ -52,40 +59,78 @@ def minimum_weight_cover(
     """Minimum-weight S ⊆ allowed with |S ∩ cand| >= need for every constraint.
 
     Branches on the constraint with the largest unmet residual demand,
-    including or excluding its smallest undecided candidate.  The weight
-    bound is the best single-constraint completion cost (sum of the
-    residual-many cheapest remaining candidates); branches that cannot beat
-    the incumbent are cut, equal-weight branches are kept so the
-    lexicographic tie-break stays exact.
+    including or excluding its smallest undecided candidate.  Constraints
+    are deduplicated by candidate set when they are read: each set keeps
+    its largest need, at the position where that need first occurs.  A
+    set's copies differ only in their need, so the first constraint with
+    the largest residual still names the same set.  A constraint met at
+    a node stays met below it, so each node scans only its parent's still
+    unmet constraints, in their original order.
+
+    Once an incumbent exists, a node is cut as soon as one unmet
+    constraint's cheapest completion (its residual-many cheapest remaining
+    candidates) exceeds the slack left below the incumbent; equal-weight
+    branches are kept so the tie-break stays exact.  For a residual of 1
+    the test is one AND with the mask of the vertices whose cost fits the
+    slack, read from one cost-sorted list; only larger residuals sum
+    costs.  These shortcuts cut exactly the nodes a full rescan would, so
+    the search tree, its node count (see `SearchBudget.node_limit`) and the
+    witness do not depend on them.
 
     `constraints` is read once, after the vertex budget is checked, so a
-    lazy iterable costs nothing on a refused instance.
-
-    The search runs on integers: the universe is numbered 0..k-1 in
-    ascending vertex order, so vertex sets are k-bit masks whose low bits
-    are the small ids, and weights are scaled to integers by the LCM of
-    their denominators.
+    lazy iterable costs nothing on a refused instance.  The weights are
+    scaled to integers once, by the LCM of their denominators, and the
+    search runs on ints: the universe is numbered 0..k-1 in ascending
+    vertex order, so vertex sets are k-bit masks whose low bits are the
+    small ids.
     """
+    cost, scale = scaled_weights(weights)
+    return _cover(cost, scale, constraints, allowed, budget)
+
+
+def _cover(
+    cost: Sequence[int],
+    scale: int,
+    constraints: Iterable[tuple[frozenset[int], int]],
+    allowed: Iterable[int] | None,
+    budget: SearchBudget | None,
+) -> Solution:
+    """`minimum_weight_cover` on integer costs with weights[v] ==
+    cost[v] / scale."""
     budget = budget if budget is not None else SearchBudget()
-    universe = sorted(range(len(weights)) if allowed is None else set(allowed))
+    universe = sorted(range(len(cost)) if allowed is None else set(allowed))
     if len(universe) > budget.max_vertices:
         raise BudgetExceeded(
             f"{len(universe)} candidate vertices exceed budget "
             f"{budget.max_vertices}"
         )
-    cost, scale = scaled_weights(weights[v] for v in universe)
     index = {v: i for i, v in enumerate(universe)}
-    # (candidate mask, need, (cost, bit) pairs in ascending cost order)
-    cons: list[tuple[int, int, list[tuple[int, int]]]] = []
+    ucost = [cost[v] for v in universe]
+    needs: dict[int, int] = {}  # candidate mask -> largest need
     for cand, need in constraints:
         if need > 0:
-            order = sorted(
-                (cost[index[v]], 1 << index[v]) for v in cand if v in index
-            )
-            if len(order) < need:
+            mask = 0
+            for v in cand:
+                if v in index:
+                    mask |= 1 << index[v]
+            if mask.bit_count() < need:
                 return Solution.infeasible()
-            cons.append((sum(bit for _, bit in order), int(need), order))
+            if need > needs.get(mask, 0):
+                # re-inserting moves the mask to where its largest need occurs
+                needs.pop(mask, None)
+                needs[mask] = int(need)
+    by_cost = sorted((c, 1 << i) for i, c in enumerate(ucost))
+    # (candidate mask, need, its (cost, bit) pairs in ascending cost order)
+    cons = [
+        (mask, need, [pair for pair in by_cost if pair[1] & mask])
+        for mask, need in needs.items()
+    ]
+    # cheap[j] is the mask of the j cheapest vertices, so the vertices of
+    # cost at most s are cheap[bisect_right(levels, s)]
+    levels = [c for c, _ in by_cost]
+    cheap = list(accumulate((bit for _, bit in by_cost), or_, initial=0))
 
+    limit = budget.node_limit
     nodes = 0
     best_w: int | None = None
     best_mask = 0
@@ -93,40 +138,56 @@ def minimum_weight_cover(
     def members(mask: int) -> tuple[int, ...]:
         return tuple(v for i, v in enumerate(universe) if mask >> i & 1)
 
-    def recurse(chosen: int, free: int, w: int) -> None:
+    def recurse(chosen: int, free: int, w: int, unmet: list) -> None:
         nonlocal nodes, best_w, best_mask
         nodes += 1
-        if budget.node_limit is not None and nodes > budget.node_limit:
-            raise BudgetExceeded(f"node limit {budget.node_limit} exhausted")
+        if limit is not None and nodes > limit:
+            raise BudgetExceeded(f"node limit {limit} exhausted")
 
+        bounded = best_w is not None
+        if bounded:
+            slack = best_w - w
+            fits = cheap[bisect_right(levels, slack)]
+        still = []
         worst_need = 0
         worst_free = 0
-        bound = w
-        for mask, need, order in cons:
+        for con in unmet:
+            mask, need, order = con
             residual = need - (mask & chosen).bit_count()
             if residual <= 0:
                 continue
             remaining = mask & free
             if remaining.bit_count() < residual:
                 return  # constraint can no longer be met on this branch
-            cheapest = islice((c for c, bit in order if bit & remaining), residual)
-            bound = max(bound, w + sum(cheapest))
+            if bounded:
+                if residual == 1:
+                    if not remaining & fits:
+                        return  # every remaining candidate costs too much
+                else:
+                    total, left = 0, residual
+                    for c, bit in order:
+                        if bit & remaining:
+                            total += c
+                            left -= 1
+                            if total > slack:
+                                return  # cheapest completion beats the slack
+                            if not left:
+                                break
+            still.append(con)
             if residual > worst_need:
                 worst_need, worst_free = residual, remaining
-        if not worst_need:
+        if not still:
             if (
                 best_w is None or w < best_w
                 or (w == best_w and members(chosen) < members(best_mask))
             ):
                 best_w, best_mask = w, chosen
             return
-        if best_w is not None and bound > best_w:
-            return
         low = worst_free & -worst_free
-        recurse(chosen | low, free ^ low, w + cost[low.bit_length() - 1])
-        recurse(chosen, free ^ low, w)
+        recurse(chosen | low, free ^ low, w + ucost[low.bit_length() - 1], still)
+        recurse(chosen, free ^ low, w, still)
 
-    recurse(0, (1 << len(universe)) - 1, 0)
+    recurse(0, (1 << len(universe)) - 1, 0, cons)
     if best_w is None:
         return Solution.infeasible()
     return Solution.of(members(best_mask), Fraction(best_w, scale))
@@ -145,7 +206,7 @@ def exact_gamma_m(inst: Instance, budget: SearchBudget | None = None) -> Solutio
             if c > 0:
                 yield mon[e], c
 
-    return minimum_weight_cover(inst.weights, constraints(), budget=budget)
+    return _cover(inst.cost, inst.scale, constraints(), None, budget)
 
 
 def exact_gamma_t(

@@ -1,5 +1,7 @@
 """Cotree construction and the union/join recursions."""
 
+import gc
+
 import pytest
 from fractions import Fraction
 
@@ -65,6 +67,31 @@ class TestCotreeExpr:
         for text in ["(join (leaf 0))", "(leaf x)", "(union (leaf 0) (leaf 1)", "leaf 0"]:
             with pytest.raises(InputError):
                 Cotree.from_expr(text)
+
+
+class TestRealize:
+    def test_leaves_no_garbage(self):
+        _, tree = gen_cograph(30, seed=1)
+        gc.collect()
+        gc.disable()
+        try:
+            tree.realize(30)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_deep_cotree(self):
+        # a spine of 2,998 union nodes, each with one leaf, ending in a
+        # triangle: nested 3,000 levels deep
+        n = 3001
+        a, b, c = n - 3, n - 2, n - 1
+        tree = Cotree.node("join", [Cotree.leaf(b), Cotree.leaf(c)])
+        tree = Cotree.node("join", [Cotree.leaf(a), tree])
+        for v in reversed(range(a)):
+            tree = Cotree.node("union", [Cotree.leaf(v), tree])
+        assert tree.leaves() == tuple(range(n))
+        g = tree.realize(n)
+        assert g.n == n and g.edges == ((a, b), (a, c), (b, c))
 
 
 class TestGammaTCograph:

@@ -19,9 +19,13 @@ from edgemon import (
     exact_vertex_cover,
     exists_independent_set,
     feasibility_precheck,
+    gen_block_graph,
     gen_cograph,
     gen_complete,
+    gen_interval,
     gen_planar,
+    gen_split,
+    gen_unit_disk,
     is_monitoring_set,
     minimum_weight_cover,
     solve_band,
@@ -79,6 +83,68 @@ PINNED_COGRAPH_DOMINATION = {
 
 def pin(sol):
     return (str(sol.value), witness_digest(sol.vertices))
+
+
+W = (1, 4, 4)  # weights 1, 5/4, ..., 4
+
+
+def _gamma_m(inst):
+    return lambda budget: exact_gamma_m(inst, budget)
+
+
+def _band_4x4(seed):
+    inst = gen_planar(4, 4, triangulate=True, demand=(0, 1), weight=W, seed=seed)
+    layering = bfs_layering(inst.graph, 0)
+    band, region = layering.slice(2, 3), layering.slice(1, 4)
+    return lambda budget: solve_band(inst, band, region, budget)
+
+
+def _domination(oracle):
+    inst, _ = gen_cograph(14, weight=W, seed=0)
+    return lambda budget: oracle(inst.graph, inst.weights, budget)
+
+
+def _repeated_candidate_set(budget):
+    # {1, 2} needs 2 only after {0, 1, 2} does, so {0, 1, 2} is branched on
+    # first; with the larger need moved to the front the search would take
+    # 5 nodes and return (1, 2)
+    m, n = frozenset({1, 2}), frozenset({0, 1, 2})
+    return minimum_weight_cover([Fraction(0)] * 3, [(m, 1), (n, 2), (m, 2)], budget=budget)
+
+
+# Search trees, one fixed seed per generator class: builder of a solve, and
+# (value, witness digest, nodes).  The search visits exactly `nodes` nodes,
+# so node_limit=nodes solves and nodes - 1 is refused.
+PINNED_TREES = {
+    "complete": (
+        lambda: _gamma_m(gen_complete(12, demand=(0, 3), weight=W, seed=5)),
+        ("29/4", "fa60c7a8465237d2", 349),
+    ),
+    "block": (
+        lambda: _gamma_m(gen_block_graph([4, 5, 4, 4, 5], demand=(0, 2), weight=W, seed=3)),
+        ("28", "b1e427e7b788681c", 193),
+    ),
+    "cograph": (
+        lambda: _gamma_m(gen_cograph(18, demand=1, weight=W, seed=3)[0]),
+        ("15/2", "5d166d19e1737ead", 1069),
+    ),
+    "split": (
+        lambda: _gamma_m(gen_split(6, 12, demand=1, seed=1, min_degree=2)),
+        ("5", "7c1953b9f06f1ff2", 29),
+    ),
+    "interval": (
+        lambda: _gamma_m(gen_interval(18, demand=(0, 2), weight=W, seed=1)[0]),
+        ("31/4", "9ac257ccc3ddf9fc", 251),
+    ),
+    "unit_disk": (
+        lambda: _gamma_m(gen_unit_disk(18, box=5, demand=(0, 1), weight=W, seed=5)[0]),
+        ("53/4", "b08b20e65e3af0b0", 619),
+    ),
+    "band": (lambda: _band_4x4(1), ("51/4", "5687a4aafb089391", 233)),
+    "gamma_t": (lambda: _domination(exact_gamma_t), ("13/4", "b2a7c750c2fc773e", 61)),
+    "double_dom": (lambda: _domination(exact_double_dom), ("8", "f3774d87e14a6554", 315)),
+    "repeated_set": (lambda: _repeated_candidate_set, ("0", "b31087bb07799231", 11)),
+}
 
 
 K5 = Graph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
@@ -295,6 +361,14 @@ class TestPinnedWitnesses:
         sol = exact_gamma_m(inst, budget=SearchBudget(node_limit=659))
         assert pin(sol) == ("4", "63dbe32229b625e9")
 
+    @pytest.mark.parametrize("case", PINNED_TREES)
+    def test_search_tree(self, case):
+        build, (value, digest, nodes) = PINNED_TREES[case]
+        solve = build()
+        with pytest.raises(BudgetExceeded):
+            solve(SearchBudget(node_limit=nodes - 1))
+        assert pin(solve(SearchBudget(node_limit=nodes))) == (value, digest)
+
 
 class TestEngine:
     def test_no_constraints_is_empty(self):
@@ -314,3 +388,11 @@ class TestEngine:
             allowed={2, 3},
         )
         assert sol.vertices == (2, 3)
+
+    def test_zero_weights_need_not_give_the_smallest_tie(self):
+        # (0, 1, 3) weighs the same and sorts first, but the search only
+        # adds candidates of unmet constraints, and 0 is none
+        sol = minimum_weight_cover(
+            [Fraction(w) for w in (0, 1, 0, 1)], [(frozenset({1, 3}), 2)]
+        )
+        assert sol.vertices == (1, 3) and sol.value == 2
