@@ -7,11 +7,12 @@ vertex then carries the price difference of those two into the remainder
 as its new weight, and the remainder shrinks by one block.  Witnesses are
 rebuilt afterwards by replaying the eliminations backwards.
 
-The depth-first search that finds the blocks emits them in post-order
-and records, for each, the cut vertex it shares with the blocks after it
-(`BlockCutTree.attach`).  Eliminating blocks in that order makes each a
-leaf when its turn comes, so the solver needs no walk of its own and no
-leaf search.  The monitor table of the whole graph is built once, and each
+The depth-first search that finds the blocks (Hopcroft and Tarjan's, with
+a stack of vertices) emits them in post-order and records, for each, the
+cut vertex it shares with the blocks after it (`BlockCutTree.attach`);
+those vertices are the cut vertices.  Eliminating blocks in that order
+makes each a leaf when its turn comes, so the solver needs no walk of its
+own and no leaf search.  The monitor table of the whole graph is built once, and each
 block reads its demand checks from it once, for both searches.  Apart from
 sorting blocks and members, and the clique searches, whose cost depends
 only on a block's size and demands, the elimination is linear in the size
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
-    Edge,
     Graph,
     InputError,
     Instance,
@@ -32,7 +32,6 @@ from .core import (
     certify,
     is_monitoring_set,  # noqa: F401  unused here; edgebench's tracer hooks it
     monitor_table,
-    normalize_edge,
 )
 from .complete import _cheapest, _pool
 from .complete import solve_complete_cbounded  # noqa: F401  edgebench's tracer hooks it
@@ -49,7 +48,8 @@ class BlockCutTree:
     block comes after the blocks hanging below it.  `attach[i]` is the one
     vertex block i shares with the later blocks of its component, the cut
     vertex towards its parent; it is None for the last block of each
-    component, singleton blocks included.
+    component, singleton blocks included.  The cut vertices are exactly
+    the vertices that `attach` names.
     """
 
     blocks: tuple[frozenset[int], ...]
@@ -59,75 +59,57 @@ class BlockCutTree:
 
 
 def block_cut_tree(g: Graph) -> BlockCutTree:
-    """Biconnected components by depth-first search with an edge stack."""
+    """Biconnected components by depth-first search with a vertex stack.
+
+    A tree edge to v pushes v; other edges only lower `low`.  When the
+    search leaves u with low[u] >= disc[p], p its parent, no edge climbs out
+    of u's subtree above p: its vertices still stacked, down to u, form one
+    block with p, attached at p.
+    """
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
-    timer = 0
-    edge_stack: list[Edge] = []
     blocks: list[frozenset[int]] = []
     attach: list[int | None] = []
-    cutpoints: set[int] = set()
-
-    def pop_component(p: int, u: int) -> None:
-        marker = normalize_edge(p, u)
-        members: set[int] = set()
-        while True:
-            e = edge_stack.pop()
-            members.update(e)
-            if e == marker:
-                break
-        blocks.append(frozenset(members))
-        attach.append(p)
-
-    def dfs(root: int) -> None:
-        nonlocal timer
-        # iterative DFS; each frame is (vertex, parent, neighbor iterator)
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, -1, iter(sorted(g.neighbors(root))))]
-        root_children = 0
-        while stack:
-            u, parent, it = stack[-1]
-            advanced = False
+    for root in range(g.n):
+        if root in disc:
+            continue
+        # iterative DFS; each frame is (vertex, neighbor iterator).  The
+        # parent edge needs no skip: it lowers low[u] to disc[parent] at
+        # most, which neither the block test nor low[parent] can see.
+        disc[root] = low[root] = len(disc)
+        stacked = [root]
+        frames = [(root, iter(sorted(g.neighbors(root))))]
+        while frames:
+            u, it = frames[-1]
             for v in it:
-                if v == parent:
-                    continue
                 if v not in disc:
-                    disc[v] = low[v] = timer
-                    timer += 1
-                    edge_stack.append(normalize_edge(u, v))
-                    stack.append((v, u, iter(sorted(g.neighbors(v)))))
-                    if u == root:
-                        root_children += 1
-                    advanced = True
+                    disc[v] = low[v] = len(disc)
+                    stacked.append(v)
+                    frames.append((v, iter(sorted(g.neighbors(v)))))
                     break
-                if disc[v] < disc[u]:
-                    edge_stack.append(normalize_edge(u, v))
-                    low[u] = min(low[u], disc[v])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
+                low[u] = min(low[u], disc[v])
+            else:
+                frames.pop()
+                if not frames:
+                    break
+                p = frames[-1][0]
                 low[p] = min(low[p], low[u])
                 if low[u] >= disc[p]:
-                    if p != root or root_children > 1:
-                        cutpoints.add(p)
-                    pop_component(p, u)
-
-    for v in range(g.n):
-        if v not in disc:
-            dfs(v)
-            if not g.neighbors(v):
-                blocks.append(frozenset({v}))
-                attach.append(None)
-            else:  # the component's last block shares no vertex with later ones
-                attach[-1] = None
+                    block = {p, u}
+                    while (w := stacked.pop()) != u:
+                        block.add(w)
+                    blocks.append(frozenset(block))
+                    attach.append(p)
+        if not g.neighbors(root):
+            blocks.append(frozenset({root}))
+            attach.append(None)
+        else:  # the component's last block shares no vertex with later ones
+            attach[-1] = None
 
     non_clique = tuple(i for i, blk in enumerate(blocks) if not g.is_clique(blk))
     return BlockCutTree(
         blocks=tuple(blocks),
-        cutpoints=frozenset(cutpoints),
+        cutpoints=frozenset(a for a in attach if a is not None),
         non_clique_blocks=non_clique,
         attach=tuple(attach),
     )

@@ -13,8 +13,9 @@ Machine-readable output is line oriented:
 Exit codes: 0 solved / verified true, 1 infeasible / verified false,
 2 usage or input error, 3 budget exceeded.  Malformed arguments (specs
 such as --demand, --weight, --blocks, --epsilon or --seeds), solution
-files with a token that is not a vertex id, and files that are not UTF-8
-text all exit 2.  Values print as exact rationals in lowest terms.
+files with a token that is not a vertex id, files that are not UTF-8
+text, and a generator that cannot meet its constraints all exit 2.
+Values print as exact rationals in lowest terms.
 EM_BUDGET_VERTICES overrides the oracle's vertex budget.  --threads is
 accepted for interface stability; all solvers here run sequentially,
 which keeps output reproducible.
@@ -31,7 +32,7 @@ from fractions import Fraction
 from .blocks import solve_block
 from .cographs import cotree_build, solve_cograph
 from .complete import ptas_complete, solve_complete_cbounded
-from .core import BudgetExceeded, InputError, Instance, Solution, deficits
+from .core import BudgetExceeded, GenerationError, InputError, Solution, deficits
 from .core import is_monitoring_set  # noqa: F401  unused; edgebench's tracer hooks it
 from .generators import (
     gen_block_graph,
@@ -141,36 +142,54 @@ def _spec(parse, what: str):
     return convert
 
 
-def _solve_auto(doc: InstanceDocument) -> Solution:
-    inst = doc.instance
+def _auto_class(doc: InstanceDocument) -> str:
+    """The class `solve` picks without --class: a certificate line first,
+    then a complete graph, then block graphs."""
     if doc.realization is not None:
-        return solve_interval(inst, doc.realization)
+        return "interval"
     if doc.cotree is not None:
-        return solve_cograph(inst, doc.cotree)
-    if inst.graph.is_complete():
-        return solve_complete_cbounded(inst)
-    return solve_block(inst)
+        return "cograph"
+    if doc.instance.graph.is_complete():
+        return "complete"
+    return "block"
 
 
-def _cmd_solve(args) -> int:
-    doc = _read_document(args.infile)
+def _solve_class(
+    klass: str, doc: InstanceDocument, epsilon: Fraction | None = None
+) -> Solution:
+    """The solver that serves `klass`, run on `doc`: the exact one, or with
+    `epsilon` the approximation scheme of a class that has one.  Planar has
+    only the scheme, at epsilon 1 by default."""
     inst = doc.instance
-    if args.klass == "complete":
-        sol = solve_complete_cbounded(inst)
-    elif args.klass == "block":
-        sol = solve_block(inst)
-    elif args.klass == "interval":
+    if klass == "auto":
+        try:
+            return _solve_class(_auto_class(doc), doc)
+        except InputError as exc:
+            raise InputError(
+                f"auto-detection failed ({exc}); pass --class explicitly or add "
+                "an 'i'/'t' certificate line"
+            ) from exc
+    if klass == "complete":
+        if epsilon is not None:
+            return ptas_complete(inst, epsilon)
+        return solve_complete_cbounded(inst)
+    if klass == "planar":
+        eps = Fraction(1) if epsilon is None else epsilon
+        return ptas_planar(inst, eps, budget=_budget_from_env())
+    if klass == "block":
+        return solve_block(inst)
+    if klass == "interval":
         if doc.realization is None:
             raise InputError(
                 "interval solver needs 'i' realization lines in the instance file"
             )
-        sol = solve_interval(inst, doc.realization)
-    elif args.klass == "cograph":
+        return solve_interval(inst, doc.realization)
+    if klass == "cograph":
         tree = doc.cotree if doc.cotree is not None else cotree_build(inst.graph)
         if tree is None:
             raise InputError("graph is not a cograph; supply a valid 't' line")
-        sol = solve_cograph(inst, tree)
-    elif args.klass == "split":
+        return solve_cograph(inst, tree)
+    if klass == "split":
         if not inst.is_uniform(1):
             raise InputError("split solver handles 1-uniform demands only")
         if any(w != 1 for w in inst.weights):
@@ -178,27 +197,17 @@ def _cmd_solve(args) -> int:
         parts = split_partition(inst.graph)
         if parts is None:
             raise InputError("graph is not a split graph")
-        sol = split_gamma_m(
-            inst.graph, parts[0], parts[1], budget=_budget_from_env()
-        )
-    else:
-        try:
-            sol = _solve_auto(doc)
-        except InputError as exc:
-            raise InputError(
-                f"auto-detection failed ({exc}); pass --class explicitly or add "
-                "an 'i'/'t' certificate line"
-            ) from exc
-    return _print_solution(sol)
+        return split_gamma_m(inst.graph, parts[0], parts[1], budget=_budget_from_env())
+    raise InputError(f"no solver for class {klass!r}")
+
+
+def _cmd_solve(args) -> int:
+    return _print_solution(_solve_class(args.klass, _read_document(args.infile)))
 
 
 def _cmd_approx(args) -> int:
     doc = _read_document(args.infile)
-    if args.klass == "complete":
-        sol = ptas_complete(doc.instance, args.epsilon)
-    else:
-        sol = ptas_planar(doc.instance, args.epsilon, budget=_budget_from_env())
-    return _print_solution(sol)
+    return _print_solution(_solve_class(args.klass, doc, args.epsilon))
 
 
 def _cmd_oracle(args) -> int:
@@ -305,21 +314,23 @@ def _cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _bench_instance(klass: str, seed: int, n: int) -> tuple[Instance, object]:
+def _bench_document(klass: str, seed: int, n: int) -> InstanceDocument:
+    spec = dict(demand=(0, 2), weight=(1, 4, 4), seed=seed)
     if klass == "complete":
-        return gen_complete(n, demand=(0, 2), weight=(1, 4, 4), seed=seed), None
+        return InstanceDocument(instance=gen_complete(n, **spec))
     if klass == "block":
         sizes = [4] * max(1, (n - 1) // 3)
-        return gen_block_graph(sizes, demand=(0, 2), weight=(1, 4, 4), seed=seed), None
+        return InstanceDocument(instance=gen_block_graph(sizes, **spec))
     if klass == "interval":
-        inst, real = gen_interval(n, demand=(0, 2), weight=(1, 4, 4), seed=seed)
-        return inst, real
+        inst, real = gen_interval(n, **spec)
+        return InstanceDocument(instance=inst, realization=real)
     if klass == "cograph":
         inst, tree = gen_cograph(n, demand=1, weight=(1, 4, 4), seed=seed)
-        return inst, tree
+        return InstanceDocument(instance=inst, cotree=tree)
     if klass == "planar":
         cols = max(1, n // 3)
-        return gen_planar(3, cols, triangulate=True, demand=(0, 1), seed=seed), None
+        inst = gen_planar(3, cols, triangulate=True, demand=(0, 1), seed=seed)
+        return InstanceDocument(instance=inst)
     raise InputError(f"bench does not support class {klass!r}")
 
 
@@ -327,26 +338,12 @@ def _cmd_bench(args) -> int:
     budget = _budget_from_env()
     print("seed solver oracle ratio ms")
     for seed in args.seeds:
-        inst, certificate = _bench_instance(args.klass, seed, args.n)
+        doc = _bench_document(args.klass, seed, args.n)
         started = time.perf_counter()
-        if args.klass == "complete":
-            sol = (
-                ptas_complete(inst, args.epsilon)
-                if args.epsilon is not None
-                else solve_complete_cbounded(inst)
-            )
-        elif args.klass == "block":
-            sol = solve_block(inst)
-        elif args.klass == "interval":
-            sol = solve_interval(inst, certificate)
-        elif args.klass == "cograph":
-            sol = solve_cograph(inst, certificate)
-        else:
-            eps = Fraction(1) if args.epsilon is None else args.epsilon
-            sol = ptas_planar(inst, eps, budget=budget)
+        sol = _solve_class(args.klass, doc, args.epsilon)
         elapsed = (time.perf_counter() - started) * 1000
         try:
-            reference = exact_gamma_m(inst, budget=budget)
+            reference = exact_gamma_m(doc.instance, budget=budget)
         except BudgetExceeded:  # beyond the oracle's budget: no reference
             rval = ratio = "-"
         else:
@@ -468,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except InputError as exc:
+    except (InputError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -119,9 +119,10 @@ def solve_complete_uniform(inst: Instance) -> Solution:
 def fpt_monitoring_complete(inst: Instance, k: int) -> bool:
     """Whether some monitoring set of size at most k exists.
 
-    Recursion: demands above k kill the instance; otherwise try k-1, and
-    failing that look for an independent set of size k among the vertices
-    untouched by demand-k edges, using only the demand-(k-1) edges.
+    Demands above k kill the instance, and no demands at all need no
+    vertex.  Otherwise the levels j = max(C, 1), ..., min(k, n) are tried in
+    turn: level j succeeds when the vertices untouched by demand-j edges
+    hold an independent set of size j in the graph of demand-(j-1) edges.
     """
     _require_complete(inst)
     if k < 0:
@@ -129,25 +130,22 @@ def fpt_monitoring_complete(inst: Instance, k: int) -> bool:
     cmax = max_demand(inst)
     if cmax > k:
         return False
-    if k == 0:
+    if cmax == 0:
         return True
-    if fpt_monitoring_complete(inst, k - 1):
-        return True
-    blocked: set[int] = set()
-    for (u, v), c in zip(inst.graph.edges, inst.demands):
-        if c == k:
-            blocked.add(u)
-            blocked.add(v)
-    survivors = [v for v in range(inst.graph.n) if v not in blocked]
-    new_of = {old: new for new, old in enumerate(survivors)}
-    level_edges = [
-        (new_of[u], new_of[v])
-        for (u, v), c in zip(inst.graph.edges, inst.demands)
-        if c == k - 1 and u in new_of and v in new_of
-    ]
-    reduced = Graph.from_edges(len(survivors), level_edges)
-    found, _ = exists_independent_set(reduced, k)
-    return found
+    edges = list(zip(inst.graph.edges, inst.demands))
+    for level in range(cmax, min(k, inst.graph.n) + 1):
+        blocked = {x for e, c in edges if c == level for x in e}
+        survivors = [v for v in range(inst.graph.n) if v not in blocked]
+        new_of = {old: new for new, old in enumerate(survivors)}
+        level_edges = [
+            (new_of[u], new_of[v])
+            for (u, v), c in edges
+            if c == level - 1 and u in new_of and v in new_of
+        ]
+        reduced = Graph.from_edges(len(survivors), level_edges)
+        if exists_independent_set(reduced, level)[0]:
+            return True
+    return False
 
 
 def ptas_complete(inst: Instance, epsilon) -> Solution:

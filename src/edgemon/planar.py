@@ -57,11 +57,24 @@ class Layering:
 def bfs_layering(g: Graph, root: int) -> Layering:
     if not (0 <= root < g.n):
         raise InputError(f"root {root} out of range")
+    level, layers = _bfs_levels(g, root)
+    if any(abs(level[u] - level[v]) > 1 for u, v in g.edges if u in level):
+        raise RuntimeError("breadth-first layering: an edge skips a layer")
+    return Layering(
+        root=root,
+        layers=tuple(map(frozenset, layers)),
+        unreached=frozenset(set(range(g.n)) - set(level)),
+    )
+
+
+def _bfs_levels(g: Graph, root: int) -> tuple[dict[int, int], list[list[int]]]:
+    """Distance from `root` of each vertex of its component, and the
+    breadth-first layers; the cost is linear in the component alone."""
     level = {root: 0}
     frontier = [root]
-    layers: list[frozenset[int]] = []
+    layers: list[list[int]] = []
     while frontier:
-        layers.append(frozenset(frontier))
+        layers.append(frontier)
         nxt: list[int] = []
         for u in frontier:
             for v in sorted(g.neighbors(u)):
@@ -69,13 +82,7 @@ def bfs_layering(g: Graph, root: int) -> Layering:
                     level[v] = level[u] + 1
                     nxt.append(v)
         frontier = nxt
-    if any(abs(level[u] - level[v]) > 1 for u, v in g.edges if u in level):
-        raise RuntimeError("breadth-first layering: an edge skips a layer")
-    return Layering(
-        root=root,
-        layers=tuple(layers),
-        unreached=frozenset(set(range(g.n)) - set(level)),
-    )
+    return level, layers
 
 
 def solve_band(

@@ -25,6 +25,7 @@ from .core import (
     is_monitoring_set,  # noqa: F401  unused here; edgebench's tracer hooks it
 )
 from .oracle import DOMINATION_BUDGET, SearchBudget, minimum_weight_cover
+from .planar import _bfs_levels
 
 Point = tuple[Fraction, Fraction]
 
@@ -56,21 +57,13 @@ def reduce_is_to_em(g: Graph, k: int) -> Instance:
 
 
 def _two_color(g: Graph) -> bool:
-    color: dict[int, int] = {}
-    for start in range(g.n):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in g.neighbors(x):
-                if y not in color:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    return False
-    return True
+    """Whether g is bipartite: breadth-first layers only join neighboring
+    layers, so an odd cycle shows as an edge inside one layer."""
+    level: dict[int, int] = {}
+    for root in range(g.n):
+        if root not in level:
+            level.update(_bfs_levels(g, root)[0])
+    return all(level[u] != level[v] for u, v in g.edges)
 
 
 def reduce_bip_tds_to_comparability(g: Graph) -> Instance:

@@ -51,6 +51,163 @@ def random_block_instance(seed: int, cmax: int = 2):
     )
 
 
+def random_edges(rng: SplitMix64, vertices: list[int], num: int, den: int = 5):
+    """Each pair of `vertices` an edge with probability num/den."""
+    return [
+        (u, v)
+        for i, u in enumerate(vertices)
+        for v in vertices[i + 1 :]
+        if rng.below(den) < num
+    ]
+
+
+def definition_graphs(seed: int) -> list[Graph]:
+    """A random graph, two chorded cycles sharing a vertex with a path
+    hanging off, and a shuffled union of random components and isolated
+    vertices; most are not block graphs."""
+    rng = SplitMix64(seed + 555)
+    n = 3 + rng.below(7)
+    graphs = [Graph.from_edges(n, random_edges(rng, list(range(n)), 2))]
+
+    a, b = 3 + rng.below(5), 3 + rng.below(5)
+    ring_a = list(range(a))
+    ring_b = [a - 1] + list(range(a, a + b - 1))
+    tail = list(range(a + b - 1, a + b - 1 + rng.below(3)))
+    edges = {
+        tuple(sorted((ring[i], ring[(i + 1) % len(ring)])))
+        for ring in (ring_a, ring_b)
+        for i in range(len(ring))
+    }
+    edges |= set(zip([0] + tail, tail))
+    for _ in range(rng.below(3)):
+        u, v = rng.below(a), rng.below(a)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    graphs.append(Graph.from_edges(a + b - 1 + len(tail), sorted(edges)))
+
+    n, edges = 0, []
+    for _ in range(2 + rng.below(3)):
+        size = 1 + rng.below(5)
+        edges += random_edges(rng, list(range(n, n + size)), 1 + rng.below(4))
+        n += size + rng.below(2)  # maybe one isolated vertex after it
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    graphs.append(Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges]))
+    return graphs
+
+
+def tree_digest(tree) -> str:
+    text = repr([sorted(b) for b in tree.blocks]) + repr(list(tree.attach))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def components_without(g: Graph, removed) -> list[set[int]]:
+    """Vertex sets of the components of g minus `removed` (None: of g)."""
+    seen: set[int] = set()
+    comps = []
+    for start in range(g.n):
+        if start == removed or start in seen:
+            continue
+        comp, stack = {start}, [start]
+        seen.add(start)
+        while stack:
+            x = stack.pop()
+            for y in g.neighbors(x):
+                if y != removed and y not in seen:
+                    seen.add(y)
+                    comp.add(y)
+                    stack.append(y)
+        comps.append(comp)
+    return comps
+
+
+def check_against_definitions(g: Graph, tree) -> None:
+    n = g.n
+    splits = [components_without(g, v) for v in range(n)]
+
+    # cutpoints are exactly the vertices whose removal splits something
+    base = len(components_without(g, None))
+    brute_cuts = {
+        v for v in range(n) if len(splits[v]) > base - (0 if g.neighbors(v) else 1)
+    }
+    assert tree.cutpoints == brute_cuts
+
+    # every edge lies in exactly one block, blocks overlap in <= 1 vertex
+    owner = {}
+    for e in g.edges:
+        owners = [i for i, b in enumerate(tree.blocks) if set(e) <= b]
+        assert len(owners) == 1
+        owner[e] = owners[0]
+    for i, a in enumerate(tree.blocks):
+        for b in tree.blocks[i + 1 :]:
+            assert len(a & b) <= 1
+
+    # two edges share a block iff no vertex separates them: removing any
+    # vertex x leaves their other endpoints in one component
+    def separated(e, f, x) -> bool:
+        ends = (set(e) | set(f)) - {x}
+        return not any(ends <= comp for comp in splits[x])
+
+    for i, e in enumerate(g.edges):
+        for f in g.edges[i + 1 :]:
+            same = not any(separated(e, f, x) for x in range(n))
+            assert (owner[e] == owner[f]) == same
+
+    # a block of two or more vertices is the vertex set of its edges
+    for i, block in enumerate(tree.blocks):
+        if len(block) > 1:
+            assert block == {v for e, j in owner.items() if j == i for v in e}
+
+    # post-order: ascending index is a leaf-first elimination order, so
+    # every block meets the later blocks in one vertex, save the last
+    # block of each component, which meets none
+    later_shared = [
+        sum(1 for v in a if any(v in b for b in tree.blocks[i + 1 :]))
+        for i, a in enumerate(tree.blocks)
+    ]
+    assert max(later_shared, default=0) <= 1
+    assert later_shared.count(0) == base
+
+    # attach names that one shared vertex, or None where there is none
+    for i, a in enumerate(tree.blocks):
+        shared = {v for v in a if any(v in b for b in tree.blocks[i + 1 :])}
+        if tree.attach[i] is None:
+            assert not shared
+        else:
+            assert shared == {tree.attach[i]}
+            assert tree.attach[i] in tree.cutpoints
+    component = {v: c for c, vs in enumerate(g.connected_components()) for v in vs}
+    last = {component[min(b)]: i for i, b in enumerate(tree.blocks)}
+    assert [a is None for a in tree.attach] == [
+        i in last.values() for i in range(len(tree.blocks))
+    ]
+
+    # vertices are covered, singletons only for isolated vertices
+    covered = set().union(*tree.blocks) if tree.blocks else set()
+    assert covered == set(range(n))
+    for block in tree.blocks:
+        if len(block) == 1:
+            assert not g.neighbors(next(iter(block)))
+
+    # cliqueness is flagged block by block
+    assert tree.non_clique_blocks == tuple(
+        i
+        for i, b in enumerate(tree.blocks)
+        if any(not g.has_edge(u, v) for u in b for v in b if u < v)
+    )
+
+
+# tree_digest of block_cut_tree over definition_graphs(seed)
+PINNED_TREES = {
+    0: ["c79a8d1a0afb138f", "eb1eceada97e6a8d", "1fe78a40a83f1119"],
+    1: ["b4cd47e90f3810f4", "1f8d6a440b616f50", "0f0ccace86386141"],
+    2: ["6001059ef2d7192b", "a771426ec043686b", "fda1b97da0836d56"],
+    3: ["8683cae10c47a4f1", "542a5d48bad5fe6f", "f8b0f52fa4d90af0"],
+}
+
+
 class TestBlockCutTree:
     def test_bowtie(self):
         tree = block_cut_tree(BOWTIE)
@@ -84,80 +241,17 @@ class TestBlockCutTree:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_decomposition_against_definitions(self, seed):
-        rng = SplitMix64(seed + 555)
-        n = 3 + rng.below(7)
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.below(5) < 2
+        for g in definition_graphs(seed):
+            check_against_definitions(g, block_cut_tree(g))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pinned_order_on_non_block_graphs(self, seed):
+        # (blocks, attach) in emission order, captured from the edge-stack
+        # search that the vertex-stack search replaced
+        got = [
+            tree_digest(block_cut_tree(g)) for g in definition_graphs(seed)
         ]
-        g = Graph.from_edges(n, edges)
-        tree = block_cut_tree(g)
-
-        def components_without(removed):
-            seen, comps = set(), 0
-            for start in range(n):
-                if start == removed or start in seen:
-                    continue
-                comps += 1
-                stack = [start]
-                seen.add(start)
-                while stack:
-                    x = stack.pop()
-                    for y in g.neighbors(x):
-                        if y != removed and y not in seen:
-                            seen.add(y)
-                            stack.append(y)
-            return comps
-
-        # cutpoints are exactly the vertices whose removal splits something
-        base = components_without(None)
-        brute_cuts = {
-            v
-            for v in range(n)
-            if components_without(v) > base - (0 if g.neighbors(v) else 1)
-        }
-        assert tree.cutpoints == brute_cuts
-
-        # every edge lies in exactly one block, blocks overlap in <= 1 vertex
-        for e in g.edges:
-            owners = [b for b in tree.blocks if set(e) <= b]
-            assert len(owners) == 1
-        for i, a in enumerate(tree.blocks):
-            for b in tree.blocks[i + 1 :]:
-                assert len(a & b) <= 1
-
-        # post-order: ascending index is a leaf-first elimination order, so
-        # every block meets the later blocks in one vertex, save the last
-        # block of each component, which meets none
-        later_shared = [
-            sum(1 for v in a if any(v in b for b in tree.blocks[i + 1 :]))
-            for i, a in enumerate(tree.blocks)
-        ]
-        assert max(later_shared, default=0) <= 1
-        assert later_shared.count(0) == base
-
-        # attach names that one shared vertex, or None where there is none
-        for i, a in enumerate(tree.blocks):
-            shared = {v for v in a if any(v in b for b in tree.blocks[i + 1 :])}
-            if tree.attach[i] is None:
-                assert not shared
-            else:
-                assert shared == {tree.attach[i]}
-                assert tree.attach[i] in tree.cutpoints
-        component = {v: c for c, vs in enumerate(g.connected_components()) for v in vs}
-        last = {component[min(b)]: i for i, b in enumerate(tree.blocks)}
-        assert [a is None for a in tree.attach] == [
-            i in last.values() for i in range(len(tree.blocks))
-        ]
-
-        # vertices are covered, singletons only for isolated vertices
-        covered = set().union(*tree.blocks) if tree.blocks else set()
-        assert covered == set(range(n))
-        for block in tree.blocks:
-            if len(block) == 1:
-                assert not g.neighbors(next(iter(block)))
+        assert got == PINNED_TREES[seed]
 
 
 class TestSolveBlock:

@@ -187,6 +187,12 @@ class TestFptRecursion:
         assert fpt_monitoring_complete(gen_complete(4, demand=0), 0)
         assert not fpt_monitoring_complete(gen_complete(4, demand=1), 0)
 
+    def test_huge_k_agrees_with_k_equal_n(self):
+        # k far beyond n must not cost a stack frame per level
+        inst = gen_complete(6, demand=(0, 2), seed=1)
+        assert fpt_monitoring_complete(inst, 5000) == fpt_monitoring_complete(inst, 6)
+        assert fpt_monitoring_complete(inst, 5000)
+
     @pytest.mark.parametrize("seed", range(15))
     def test_equivalence_with_oracle(self, seed):
         rng = SplitMix64(seed + 500)

@@ -145,6 +145,29 @@ class TestComparabilityImage:
         with pytest.raises(InputError):
             reduce_bip_tds_to_comparability(Graph.from_edges(3, [(0, 1)]))
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_bipartite_check_agrees_with_brute_force(self, seed):
+        from edgemon.reductions import _two_color
+
+        rng = SplitMix64(seed + 901)
+        n = 4 + rng.below(8)
+        side = [rng.below(2) for _ in range(n)]
+        edges = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.below(6) < 2 and (seed % 2 or side[u] != side[v])
+        ]
+        g = Graph.from_edges(n, edges)
+        two_colorable = any(
+            all((mask >> u & 1) != (mask >> v & 1) for u, v in edges)
+            for mask in range(1 << n)
+        )
+        assert _two_color(g) == two_colorable
+        if all(g.neighbors(v) for v in range(n)) and not two_colorable:
+            with pytest.raises(InputError, match="bipartite"):
+                reduce_bip_tds_to_comparability(g)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_relation_on_random_bipartite(self, seed):
         rng = SplitMix64(seed + 77)

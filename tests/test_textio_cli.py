@@ -204,6 +204,10 @@ class TestCli:
             ["approx", "--class", "complete", "--epsilon", "abc", "--in", "{k3}"],
             ["approx", "--class", "complete", "--epsilon", "1/0", "--in", "{k3}"],
             ["bench", "--class", "block", "--seeds", "3"],
+            [
+                "generate", "--class", "split", "--clique", "3",
+                "--independent", "3", "--min-degree", "9",
+            ],
         ],
         ids=lambda argv: " ".join(argv),
     )
