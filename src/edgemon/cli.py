@@ -16,9 +16,7 @@ such as --demand, --weight, --blocks, --epsilon or --seeds), solution
 files with a token that is not a vertex id, files that are not UTF-8
 text, and a generator that cannot meet its constraints all exit 2.
 Values print as exact rationals in lowest terms.
-EM_BUDGET_VERTICES overrides the oracle's vertex budget.  --threads is
-accepted for interface stability; all solvers here run sequentially,
-which keeps output reproducible.
+EM_BUDGET_VERTICES overrides the oracle's vertex budget.
 """
 
 from __future__ import annotations
@@ -365,10 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weighted edge monitoring solvers and instance tooling.",
     )
     fraction = _spec(Fraction, "fraction")
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="reserved; solvers currently run on one thread",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="exact class-specific solver")
@@ -456,10 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceeded as exc:

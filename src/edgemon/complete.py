@@ -4,7 +4,7 @@ On a complete graph every vertex other than an edge's endpoints monitors
 that edge, so any C+2 vertices form a monitoring set (C the largest
 demand) and the optimum never needs more.  That bound drives everything
 here: bounded exhaustive search, the sorted-prefix rule for uniform
-demands, the parameterized recursion through independent sets, and the
+demands, the parameterized test through independent sets, and the
 approximation scheme for the weighted problem.
 """
 
@@ -120,22 +120,26 @@ def fpt_monitoring_complete(inst: Instance, k: int) -> bool:
     """Whether some monitoring set of size at most k exists.
 
     Demands above k kill the instance, and no demands at all need no
-    vertex.  Otherwise the levels j = max(C, 1), ..., min(k, n) are tried in
-    turn: level j succeeds when the vertices untouched by demand-j edges
-    hold an independent set of size j in the graph of demand-(j-1) edges.
+    vertex.  Any C+2 vertices monitor the graph (the bound `gamma_bounds`
+    certifies), so k >= C+2 with n >= C+2 is a yes without a search.
+    Otherwise the levels j = C, ..., min(k, n), at most C and C+1, are
+    tried in turn: level j succeeds when the vertices untouched by
+    demand-j edges hold an independent set of size j in the graph of
+    demand-(j-1) edges.
     """
     _require_complete(inst)
     if k < 0:
         raise InputError("k must be non-negative")
     cmax = max_demand(inst)
+    n = inst.graph.n
     if cmax > k:
         return False
-    if cmax == 0:
+    if cmax == 0 or min(k, n) >= cmax + 2:
         return True
     edges = list(zip(inst.graph.edges, inst.demands))
-    for level in range(cmax, min(k, inst.graph.n) + 1):
+    for level in range(cmax, min(k, n) + 1):
         blocked = {x for e, c in edges if c == level for x in e}
-        survivors = [v for v in range(inst.graph.n) if v not in blocked]
+        survivors = [v for v in range(n) if v not in blocked]
         new_of = {old: new for new, old in enumerate(survivors)}
         level_edges = [
             (new_of[u], new_of[v])

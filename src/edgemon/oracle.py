@@ -1,10 +1,10 @@
 """Exact baselines used as ground truth by every other solver.
 
-The monitoring, total-domination and double-domination optima are all
-instances of one weighted multi-cover problem: pick a minimum-weight vertex
-set S meeting |S ∩ cand_j| >= need_j for a list of constraints.  A single
-branch-and-bound engine solves that form; the public wrappers just phrase
-their problem as constraints.
+The monitoring, total-domination, double-domination and vertex-cover
+optima are all instances of one weighted multi-cover problem: pick a
+minimum-weight vertex set S meeting |S ∩ cand_j| >= need_j for a list of
+constraints.  A single branch-and-bound engine solves that form; the
+public wrappers just phrase their problem as constraints.
 
 Determinism: the search is a fixed function of its input, so golden
 values and witnesses are stable across runs.  Under positive weights the
@@ -14,6 +14,15 @@ only adds candidates of constraints that are still unmet, so a zero-weight
 vertex no such constraint needs is never added, even where adding it would
 sort first: weights (0, 1, 0, 1) with the one constraint ({1, 3}, 2) give
 (1, 3), although (0, 1, 3) weighs the same.
+
+The one search that is not a cover is `exists_independent_set`.  An
+independent k-set exists iff a vertex cover of at most n - k vertices
+does, but a cover search branches over all n vertices, while the
+parameterized test for complete graphs asks for small k in graphs of
+hundreds of vertices.  Independent k-set is W[1]-hard (Downey and
+Fellows), so its search stays exponential in k; it visits only
+independent sets of fewer than k vertices, and stops at the first of size
+k, so it does not grow like 2^n.
 """
 
 from __future__ import annotations
@@ -240,70 +249,51 @@ def exists_independent_set(
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Whether the graph has an independent set of size k, with a witness.
 
-    Depth-first include/exclude over ascending vertex ids; the first hit is
-    the lexicographically smallest independent set of size k.
+    Depth-first include/exclude over ascending vertex ids on an explicit
+    stack, so the depth is not bounded by the recursion limit; the first
+    hit is the lexicographically smallest independent set of size k.  A
+    branch stops once too few candidates remain.  Each chosen prefix, the
+    empty one included, counts against `budget.node_limit`.  The default
+    of 2^DOMINATION_BUDGET nodes covers every graph of at most
+    DOMINATION_BUDGET vertices, which has no more independent sets than
+    that.  `max_vertices` does not apply here.
     """
-    budget = _default(budget, DOMINATION_BUDGET)
-    if g.n > budget.max_vertices:
-        raise BudgetExceeded(f"{g.n} vertices exceed budget {budget.max_vertices}")
+    limit = 1 << DOMINATION_BUDGET if budget is None else budget.node_limit
     if k <= 0:
         return True, ()
     if k > g.n:
         return False, None
-
-    witness: list[int] | None = None
-
-    def search(chosen: list[int], banned: frozenset[int], next_v: int) -> bool:
-        nonlocal witness
+    adj = [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
+    chosen: list[int] = []
+    # stack[i]: the candidates for chosen[i] not tried yet, each larger than
+    # chosen[i - 1] and adjacent to no earlier chosen vertex
+    stack: list[int] = []
+    cand = (1 << g.n) - 1
+    nodes = 0
+    while True:  # one pass per node, the prefix `chosen`
+        nodes += 1
+        if limit is not None and nodes > limit:
+            raise BudgetExceeded(f"node limit {limit} exhausted")
         if len(chosen) == k:
-            witness = list(chosen)
-            return True
-        if len(chosen) + (g.n - next_v) < k:
-            return False
-        for v in range(next_v, g.n):
-            if v in banned:
-                continue
-            if len(chosen) + 1 + (g.n - v - 1) < k:
-                return False
-            chosen.append(v)
-            if search(chosen, banned | g.neighbors(v), v + 1):
-                return True
-            chosen.pop()
-        return False
-
-    found = search([], frozenset(), 0)
-    return (True, tuple(witness)) if found else (False, None)
-
-
-def maximum_independent_set(
-    g: Graph, budget: SearchBudget | None = None
-) -> tuple[int, ...]:
-    """Lexicographically smallest maximum independent set."""
-    budget = _default(budget, DOMINATION_BUDGET)
-    if g.n > budget.max_vertices:
-        raise BudgetExceeded(f"{g.n} vertices exceed budget {budget.max_vertices}")
-    best: tuple[int, ...] = ()
-
-    def search(chosen: list[int], banned: frozenset[int], next_v: int):
-        nonlocal best
-        if len(chosen) > len(best):
-            best = tuple(chosen)
-        for v in range(next_v, g.n):
-            if v in banned:
-                continue
-            if len(chosen) + 1 + (g.n - v - 1) <= len(best):
-                return
-            chosen.append(v)
-            search(chosen, banned | g.neighbors(v), v + 1)
-            chosen.pop()
-
-    search([], frozenset(), 0)
-    return best
+            return True, tuple(chosen)
+        stack.append(cand)
+        while stack and stack[-1].bit_count() < k - len(chosen):
+            stack.pop()
+            if chosen:
+                chosen.pop()
+        if not stack:
+            return False, None
+        low = stack[-1] & -stack[-1]
+        stack[-1] = cand = stack[-1] ^ low
+        v = low.bit_length() - 1
+        chosen.append(v)
+        cand &= ~adj[v]
 
 
 def exact_vertex_cover(g: Graph, budget: SearchBudget | None = None) -> Solution:
-    """Minimum-cardinality vertex cover, as the complement of a maximum
-    independent set."""
-    mis = maximum_independent_set(g, budget)
-    cover = tuple(sorted(set(range(g.n)) - set(mis)))
-    return Solution.of(cover, Fraction(len(cover)))
+    """Minimum-cardinality vertex cover: the cover engine on unit weights
+    with one ({u, v}, 1) constraint per edge, so the witness is the
+    lexicographically smallest minimum cover."""
+    budget = _default(budget, DOMINATION_BUDGET)
+    constraints = [(frozenset(e), 1) for e in g.edges]
+    return minimum_weight_cover(_unit_weights(g), constraints, budget=budget)

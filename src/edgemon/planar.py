@@ -17,6 +17,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
+from typing import Collection, Iterable, Sequence
 
 from .core import (
     Edge,
@@ -48,23 +49,32 @@ class Layering:
 
     def slice(self, lo: int, hi: int) -> frozenset[int]:
         """Union of layers lo..hi, indices outside the range being empty."""
-        out: set[int] = set()
-        for i in range(max(lo, 0), min(hi, self.depth) + 1):
-            out |= self.layers[i]
-        return frozenset(out)
+        return frozenset(_union(self.layers, lo, hi))
+
+
+def _union(layers: Sequence[Iterable[int]], lo: int, hi: int) -> set[int]:
+    """Union of layers[lo..hi], indices outside the range being empty."""
+    return set().union(*layers[max(lo, 0) : max(hi + 1, 0)])
 
 
 def bfs_layering(g: Graph, root: int) -> Layering:
     if not (0 <= root < g.n):
         raise InputError(f"root {root} out of range")
-    level, layers = _bfs_levels(g, root)
-    if any(abs(level[u] - level[v]) > 1 for u, v in g.edges if u in level):
-        raise RuntimeError("breadth-first layering: an edge skips a layer")
+    layers = _layers(g, root)
     return Layering(
         root=root,
         layers=tuple(map(frozenset, layers)),
-        unreached=frozenset(set(range(g.n)) - set(level)),
+        unreached=frozenset(range(g.n)).difference(*layers),
     )
+
+
+def _layers(g: Graph, root: int) -> list[list[int]]:
+    """Breadth-first layers of the component of `root`, checked at the
+    component's cost to be a layering."""
+    level, layers = _bfs_levels(g, root)
+    if any(abs(level[u] - level[v]) > 1 for u in level for v in g.neighbors(u)):
+        raise RuntimeError("breadth-first layering: an edge skips a layer")
+    return layers
 
 
 def _bfs_levels(g: Graph, root: int) -> tuple[dict[int, int], list[list[int]]]:
@@ -96,23 +106,30 @@ def solve_band(
     band, region = frozenset(band), frozenset(region)
     if not band <= region:
         raise InputError("band must be contained in its region")
-    return _solve_band(inst, band, region, budget, monitor_table(inst))
+    return _solve_band(inst, band, region, budget, _demanded(inst))
+
+
+def _demanded(inst: Instance) -> dict[Edge, tuple[frozenset[int], int]]:
+    """The (monitors, demand) constraint of each edge of positive demand,
+    from one monitor table of the whole instance."""
+    mon = monitor_table(inst)
+    return {e: (mon[e], c) for e, c in zip(inst.graph.edges, inst.demands) if c > 0}
 
 
 def _solve_band(
     inst: Instance,
-    band: frozenset[int],
-    region: frozenset[int],
+    band: Iterable[int],
+    region: Collection[int],
     budget: SearchBudget | None,
-    mon: dict[Edge, frozenset[int]],
+    demanded: dict[Edge, tuple[frozenset[int], int]],
 ) -> Solution:
-    """`solve_band` on the monitor table `mon` of the whole instance, for a
-    band already inside its region."""
-    constraints = [
-        (mon[e], c)
-        for e, c in zip(inst.graph.edges, inst.demands)
-        if c > 0 and (e[0] in band or e[1] in band)
-    ]
+    """`solve_band` on the `_demanded` constraints, for a band already
+    inside its region.  The band's edges are read from its vertices'
+    adjacency and sorted, so the constraints come in edge order, as the
+    zero-weight tie-break needs, at the cost of the band alone."""
+    adj = inst.graph.adjacency
+    touching = sorted({(u, v) if u < v else (v, u) for u in band for v in adj[u]})
+    constraints = [demanded[e] for e in touching if e in demanded]
     try:
         return _cover(inst.cost, inst.scale, constraints, region, budget)
     except BudgetExceeded as exc:
@@ -137,12 +154,12 @@ def ptas_planar(
     if g.n >= 3 and g.m > 3 * g.n - 6:
         warnings.warn("edge count exceeds the planar bound 3n-6", stacklevel=2)
 
-    mon = monitor_table(inst)
+    demanded = _demanded(inst)
     total = 0
     witness: set[int] = set()
     for comp in g.connected_components():
-        layering = bfs_layering(g, comp[0])
-        depth = layering.depth
+        layers = _layers(g, comp[0])
+        depth = len(layers) - 1
         best_w: int | None = None
         best_set: set[int] | None = None
         for offset in range(k):
@@ -150,12 +167,13 @@ def ptas_planar(
             covered: set[int] = set()
             for j in range(-1, -(-depth // k) + 1):
                 start = offset + k * j
-                band = layering.slice(start, start + k - 1)
-                region = layering.slice(start - 1, start + k)
+                band = _union(layers, start, start + k - 1)
+                region = _union(layers, start - 1, start + k)
                 covered |= band
                 if not region:
                     continue
-                picked |= set(_solve_band(inst, band, region, budget, mon).vertices)
+                sol = _solve_band(inst, band, region, budget, demanded)
+                picked.update(sol.vertices)
             if covered != set(comp):
                 raise RuntimeError("planar sweep: bands of one offset miss a layer")
             w = sum(inst.cost[v] for v in picked)

@@ -193,6 +193,19 @@ class TestFptRecursion:
         assert fpt_monitoring_complete(inst, 5000) == fpt_monitoring_complete(inst, 6)
         assert fpt_monitoring_complete(inst, 5000)
 
+    @pytest.mark.parametrize("n,seed", [(30, 1), (40, 2)])
+    def test_past_the_oracle_budget_agrees_with_bounded_search(self, n, seed):
+        inst = gen_complete(n, demand=(0, 2), seed=seed)
+        value = solve_complete_cbounded(inst).value
+        for k in range(7):
+            assert fpt_monitoring_complete(inst, k) == (value <= k)
+
+    def test_two_hundred_vertices_every_k(self):
+        inst = gen_complete(200, demand=(0, 2), seed=0)
+        answers = [fpt_monitoring_complete(inst, k) for k in range(9)]
+        assert answers == [False] * 3 + [True] * 6
+        assert fpt_monitoring_complete(inst, 5000)
+
     @pytest.mark.parametrize("seed", range(15))
     def test_equivalence_with_oracle(self, seed):
         rng = SplitMix64(seed + 500)

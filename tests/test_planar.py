@@ -132,10 +132,13 @@ class TestPtasPlanar:
         assert is_monitoring_set(inst, sol.vertices)
 
     def test_disconnected_components_sum(self):
-        two = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        inst = Instance.make(two, demand=1)
-        sol = ptas_planar(inst, 1)
-        assert sol.feasible and sol.value == 6
+        sides = ((0, 1), (1, 2), (0, 2))
+        for n in (6, 3000):  # 2 and 1,000 disjoint triangles
+            edges = [(t + a, t + b) for t in range(0, n, 3) for a, b in sides]
+            inst = Instance.make(Graph.from_edges(n, edges), demand=1)
+            sol = ptas_planar(inst, 1)
+            assert sol.feasible and sol.value == n
+            assert sol.vertices == tuple(range(n))
 
     def test_bad_epsilon(self):
         with pytest.raises(InputError):
