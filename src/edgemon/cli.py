@@ -17,6 +17,10 @@ files with a token that is not a vertex id, files that are not UTF-8
 text, and a generator that cannot meet its constraints all exit 2.
 Values print as exact rationals in lowest terms.
 EM_BUDGET_VERTICES overrides the oracle's vertex budget.
+
+The argument parser is built once per process (`build_parser` is
+cached), and `main` can be called any number of times in one process:
+each call parses into a fresh namespace and leaves no state behind.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from .blocks import solve_block
 from .cographs import cotree_build, solve_cograph
@@ -357,7 +362,11 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: a parse puts its
+    defaults and the `func` dispatch on a fresh namespace, never on the
+    parser, so every `main` call shares this one."""
     parser = argparse.ArgumentParser(
         prog="edgemon",
         description="Weighted edge monitoring solvers and instance tooling.",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
@@ -177,16 +178,18 @@ class Instance:
             raise InputError("demands must be non-negative integers")
         if len(self.weights) != self.graph.n:
             raise InputError("weight table does not match the vertex set")
-        if any(w < 0 for w in self.weights):
-            raise InputError("weights must be non-negative")
-        object.__setattr__(
-            self,
-            "_edge_index",
-            {e: i for i, e in enumerate(self.graph.edges)},
-        )
         cost, scale = scaled_weights(self.weights)
+        # cost[v] has the sign of weights[v], since scale and denominators are positive
+        if any(c < 0 for c in cost):
+            raise InputError("weights must be non-negative")
         object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "scale", scale)
+
+    @cached_property
+    def _edge_index(self) -> dict[Edge, int]:
+        """Position of each edge in `graph.edges`, built on the first
+        `demand(u, v)` call: no solver reads it."""
+        return {e: i for i, e in enumerate(self.graph.edges)}
 
     @staticmethod
     def make(graph: Graph, demand=1, weight=1) -> "Instance":

@@ -143,7 +143,16 @@ def ptas_planar(
 
     A failed demand precheck means no monitoring set exists at all.  After
     it passes, every band subproblem is feasible, each offset's union
-    monitors the whole component, and the cheapest offset is kept."""
+    monitors the whole component, and the cheapest offset is kept.
+
+    A band that holds no vertex is not solved.  It has no constraint, and
+    its padded region is one layer: the root, for the band before layer 0
+    at offset 0, or the last layer, for a band past it.  The previous band
+    of the same offset holds the last layer in its region and is solved
+    first, so a region over the vertex budget is refused there, with the
+    same message.  Only a budget under one vertex refuses the root alone;
+    the next band's region, which holds the root, is then refused
+    instead, under its own size."""
     eps = Fraction(epsilon)
     if eps <= 0:
         raise InputError("epsilon must be positive")
@@ -170,7 +179,7 @@ def ptas_planar(
                 band = _union(layers, start, start + k - 1)
                 region = _union(layers, start - 1, start + k)
                 covered |= band
-                if not region:
+                if not band:
                     continue
                 sol = _solve_band(inst, band, region, budget, demanded)
                 picked.update(sol.vertices)

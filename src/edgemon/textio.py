@@ -10,6 +10,8 @@
 Ids are 0-based.  Parsing takes time linear in the file size and reports
 the offending line number; emission is canonical (comments, then p, v, e,
 i, t with sorted ids), so a parsed canonical file re-emits byte-identically.
+Each distinct weight token is parsed once per file and its `Fraction`
+reused (files repeat a few weights over many vertices).
 """
 
 from __future__ import annotations
@@ -58,46 +60,30 @@ def parse_instance_text(text: str) -> InstanceDocument:
     n = m = None
     comments: list[str] = []
     weights: dict[int, Fraction] = {}
+    parsed_weights: dict[str, Fraction] = {}  # weight token -> its value
     demand: dict[Edge, int] = {}
     interval_rows: dict[int, tuple[int, int]] = {}
     cotree_text: str | None = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        if line.startswith("#"):
-            comments.append(line)
-            continue
-        parts = line.split()
         tag = parts[0]
-        if tag == "p":
-            if n is not None:
-                raise ParseError(line_no, "duplicate problem line")
-            if len(parts) != 4 or parts[1] != "em":
-                raise ParseError(line_no, "expected 'p em <n> <m>'")
-            n = _int(parts[2], line_no, "vertex count")
-            m = _int(parts[3], line_no, "edge count")
-            if n < 0 or m < 0:
-                raise ParseError(line_no, "counts must be non-negative")
+        if tag[0] == "#":
+            comments.append(raw.strip())
             continue
-        if n is None:
-            raise ParseError(line_no, "problem line must come first")
-        if tag == "v":
-            if len(parts) != 3:
-                raise ParseError(line_no, "expected 'v <id> <weight>'")
-            vid = _int(parts[1], line_no, "vertex id")
-            if not 0 <= vid < n:
-                raise ParseError(line_no, f"vertex id {vid} out of range")
-            if vid in weights:
-                raise ParseError(line_no, f"duplicate weight for vertex {vid}")
-            weights[vid] = _parse_weight(parts[2], line_no)
-        elif tag == "e":
+        # edge lines first, as most lines are; one before the problem line
+        # falls through to the "must come first" error below
+        if tag == "e" and n is not None:
             if len(parts) != 4:
                 raise ParseError(line_no, "expected 'e <u> <v> <c>'")
-            u = _int(parts[1], line_no, "vertex id")
-            v = _int(parts[2], line_no, "vertex id")
-            c = _int(parts[3], line_no, "demand")
+            try:
+                u, v, c = int(parts[1]), int(parts[2]), int(parts[3])
+            except ValueError:  # name the first bad token, as _int does
+                u = _int(parts[1], line_no, "vertex id")
+                v = _int(parts[2], line_no, "vertex id")
+                c = _int(parts[3], line_no, "demand")
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(line_no, f"edge ({u}, {v}) out of range")
             if u == v:
@@ -108,6 +94,30 @@ def parse_instance_text(text: str) -> InstanceDocument:
             if e in demand:
                 raise ParseError(line_no, f"duplicate edge {e}")
             demand[e] = c
+        elif tag == "p":
+            if n is not None:
+                raise ParseError(line_no, "duplicate problem line")
+            if len(parts) != 4 or parts[1] != "em":
+                raise ParseError(line_no, "expected 'p em <n> <m>'")
+            n = _int(parts[2], line_no, "vertex count")
+            m = _int(parts[3], line_no, "edge count")
+            if n < 0 or m < 0:
+                raise ParseError(line_no, "counts must be non-negative")
+        elif n is None:
+            raise ParseError(line_no, "problem line must come first")
+        elif tag == "v":
+            if len(parts) != 3:
+                raise ParseError(line_no, "expected 'v <id> <weight>'")
+            vid = _int(parts[1], line_no, "vertex id")
+            if not 0 <= vid < n:
+                raise ParseError(line_no, f"vertex id {vid} out of range")
+            if vid in weights:
+                raise ParseError(line_no, f"duplicate weight for vertex {vid}")
+            token = parts[2]
+            w = parsed_weights.get(token)
+            if w is None:
+                w = parsed_weights[token] = _parse_weight(token, line_no)
+            weights[vid] = w
         elif tag == "i":
             if len(parts) != 4:
                 raise ParseError(line_no, "expected 'i <id> <a> <b>'")
@@ -124,7 +134,7 @@ def parse_instance_text(text: str) -> InstanceDocument:
         elif tag == "t":
             if cotree_text is not None:
                 raise ParseError(line_no, "duplicate cotree line")
-            cotree_text = line[1:].strip()
+            cotree_text = raw.strip()[1:].strip()
             if not cotree_text:
                 raise ParseError(line_no, "empty cotree expression")
         else:
@@ -136,10 +146,11 @@ def parse_instance_text(text: str) -> InstanceDocument:
         raise ParseError(1, f"problem line promises {m} edges, found {len(demand)}")
     # the keys of `demand` are already distinct, normalized and in range
     graph = Graph._build(n, demand.keys())
+    one = Fraction(1)
     instance = Instance(
         graph,
         tuple(demand[e] for e in graph.edges),
-        tuple(weights.get(v, Fraction(1)) for v in range(n)),
+        tuple(weights.get(v, one) for v in range(n)),
     )
 
     realization = None

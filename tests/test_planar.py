@@ -2,8 +2,11 @@
 
 import pytest
 from fractions import Fraction
+from math import ceil
 
+import edgemon.planar
 from edgemon import (
+    BudgetExceeded,
     Graph,
     InputError,
     Instance,
@@ -16,12 +19,41 @@ from edgemon import (
     ptas_planar,
     solve_band,
 )
+from edgemon.oracle import SearchBudget
 
 import bruteforce as bf
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 K4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+
+
+def sweep_every_region(inst, epsilon, budget=None):
+    """The offset sweep of `ptas_planar` that also solves each band holding
+    no vertex, whenever its padded region holds one: the reference that
+    skipping such bands must match, refusals included."""
+    k = ceil(2 / Fraction(epsilon))
+    if not feasibility_precheck(inst):
+        return None
+    demanded = edgemon.planar._demanded(inst)
+    witness = set()
+    for comp in inst.graph.connected_components():
+        layers = edgemon.planar._layers(inst.graph, comp[0])
+        offsets = []
+        for offset in range(k):
+            picked = set()
+            for j in range(-1, -(-(len(layers) - 1) // k) + 1):
+                start = offset + k * j
+                band = edgemon.planar._union(layers, start, start + k - 1)
+                region = edgemon.planar._union(layers, start - 1, start + k)
+                if region:
+                    sol = edgemon.planar._solve_band(
+                        inst, band, region, budget, demanded
+                    )
+                    picked.update(sol.vertices)
+            offsets.append((sum(inst.cost[v] for v in picked), offset, picked))
+        witness |= min(offsets, key=lambda t: t[:2])[2]
+    return tuple(sorted(witness))
 
 
 class TestLayering:
@@ -159,6 +191,53 @@ class TestPtasPlanar:
         sol = ptas_planar(inst, 1)
         assert sol.feasible == feasibility_precheck(inst)
         assert builds == [42]
+
+    def test_bands_without_vertices_are_not_solved(self, monkeypatch):
+        bands = []
+        solve = edgemon.planar._solve_band
+
+        def counting(inst, band, *rest):
+            bands.append(len(band))
+            return solve(inst, band, *rest)
+
+        monkeypatch.setattr(edgemon.planar, "_solve_band", counting)
+        inst = gen_planar(8, 3, triangulate=True, demand=(0, 1), seed=1)
+        sol = ptas_planar(inst, 1)
+        assert sol.vertices == (1, 3, 4, 7, 9, 10, 13, 16, 17, 18, 20)
+        assert len(bands) == 9 and all(bands)  # 11 with the two empty bands
+
+    @pytest.mark.parametrize("max_vertices", [20, 8])
+    @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2)])
+    def test_skipping_empty_bands_changes_no_result(self, eps, max_vertices):
+        budget = SearchBudget(max_vertices)
+        outcomes = {"feasible": 0, "infeasible": 0, "refused": 0}
+        for rows in range(1, 6):
+            for cols in range(1, 6):
+                for seed in range(1, 5):
+                    inst = gen_planar(
+                        rows, cols, triangulate=seed != 4,
+                        demand=(0, 1 + seed // 3), weight=(0, 3, 1), seed=seed,
+                    )
+                    try:
+                        want = sweep_every_region(inst, eps, budget)
+                    except BudgetExceeded as exc:
+                        outcomes["refused"] += 1
+                        with pytest.raises(BudgetExceeded) as err:
+                            ptas_planar(inst, eps, budget)
+                        assert str(err.value) == str(exc)
+                        continue
+                    sol = ptas_planar(inst, eps, budget)
+                    outcomes[sol.status] += 1
+                    assert sol.vertices == (() if want is None else want)
+                    assert sol.feasible == (want is not None)
+        assert all(outcomes.values())
+
+    def test_a_budget_under_one_vertex_still_refuses(self):
+        inst = gen_planar(3, 3, triangulate=True, seed=1)
+        with pytest.raises(BudgetExceeded):
+            sweep_every_region(inst, 1, SearchBudget(0))
+        with pytest.raises(BudgetExceeded):
+            ptas_planar(inst, 1, SearchBudget(0))
 
     def test_nonplanar_warns_but_runs(self):
         k6 = Graph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])

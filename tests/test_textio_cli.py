@@ -22,7 +22,7 @@ from edgemon import (
     gen_unit_disk,
     parse_instance_text,
 )
-from edgemon.cli import main
+from edgemon.cli import build_parser, main
 
 
 SAMPLE = """\
@@ -69,6 +69,83 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_instance_text(text)
         assert err.value.line_no == line
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('e 0 1 1\n', 'line 1: problem line must come first'),
+            ('p em 2 1\np em 2 1\n', 'line 2: duplicate problem line'),
+            ('p em 2 1\ne 0 1 1\ne 0 1 2\n', 'line 3: duplicate edge (0, 1)'),
+            ('p em 2 1\ne 0 2 1\n', 'line 2: edge (0, 2) out of range'),
+            ('p em 2 1\ne 0 0 1\n', 'line 2: loop edge at 0'),
+            ('p em 2 1\nv 0 -3\ne 0 1 1\n', "line 2: negative weight '-3'"),
+            ('p em 2 1\nv 0 1/0\ne 0 1 1\n', "line 2: bad weight '1/0'"),
+            ('p em 2 2\ne 0 1 1\n', 'line 1: problem line promises 2 edges, found 1'),
+            ('p em 2 1\nq 0 1\n', "line 2: unknown directive 'q'"),
+            (
+                'p em 2 1\ni 0 0 5\ne 0 1 1\n',
+                'line 1: interval lines must cover every vertex (missing [1])',
+            ),
+            ('p em 2 1\ne x 1 1\n', "line 2: bad vertex id 'x'"),
+            ('p em 2 1\ne 0 x 1\n', "line 2: bad vertex id 'x'"),
+            ('p em 2 1\ne 0 1 x\n', "line 2: bad demand 'x'"),
+            ('p em 2 1\ne x 1 y\n', "line 2: bad vertex id 'x'"),
+            ('p em 2 1\ne 0 1\n', "line 2: expected 'e <u> <v> <c>'"),
+            ('p em 2 1\ne 0 1 1 1\n', "line 2: expected 'e <u> <v> <c>'"),
+            ('p em 2 1\ne 0 1 -1\n', 'line 2: demands must be non-negative'),
+            ('p em 2 1\nv 0 x\ne 0 1 1\n', "line 2: bad weight 'x'"),
+            ('p em 2 1\nv 0 1/x\ne 0 1 1\n', "line 2: bad weight '1/x'"),
+            ('p em 2 1\nv 0 -1/2\ne 0 1 1\n', "line 2: negative weight '-1/2'"),
+            ('p em 2 1\nv 0 3/-2\ne 0 1 1\n', "line 2: negative weight '3/-2'"),
+            (
+                'p em 2 1\nv 0 1/2\nv 1 1/2\nv 0 1/2\ne 0 1 1\n',
+                'line 4: duplicate weight for vertex 0',
+            ),
+            ('p em 2 1\nv 0 1 1\ne 0 1 1\n', "line 2: expected 'v <id> <weight>'"),
+            ('p em 2 1\nv x 1\ne 0 1 1\n', "line 2: bad vertex id 'x'"),
+            ('p em 2 1\nv 2 1\ne 0 1 1\n', 'line 2: vertex id 2 out of range'),
+            ('p em 2 1\nv 0 1\nv 1 -1\ne 0 1 1\n', "line 3: negative weight '-1'"),
+            (
+                'p em 2 1\nv 0 1/2\nv 1 -1/2\ne 0 1 1\n',
+                "line 3: negative weight '-1/2'",
+            ),
+            ('p em x 1\n', "line 1: bad vertex count 'x'"),
+            ('p em 2 y\n', "line 1: bad edge count 'y'"),
+            ('p em -1 0\n', 'line 1: counts must be non-negative'),
+            ('p xx 2 1\n', "line 1: expected 'p em <n> <m>'"),
+            ('p em 2\n', "line 1: expected 'p em <n> <m>'"),
+            ('   \n\n', "line 1: missing problem line 'p em <n> <m>'"),
+            (
+                'p em 2 1\ne 0 1 1\ni 0 0 5\n',
+                'line 1: interval lines must cover every vertex (missing [1])',
+            ),
+            (
+                'p em 2 1\ne 0 1 1\ni 0 5 0\ni 1 0 1\n',
+                'line 3: reversed interval [5, 0]',
+            ),
+            (
+                'p em 2 1\ne 0 1 1\ni 0 0 5\ni 0 0 5\n',
+                'line 4: duplicate interval for vertex 0',
+            ),
+            ('p em 2 1\ne 0 1 1\ni 3 0 5\n', 'line 3: vertex id 3 out of range'),
+            ('p em 2 1\ne 0 1 1\ni 0 a 5\n', "line 3: bad endpoint 'a'"),
+            ('p em 2 1\ne 0 1 1\ni 0 0\n', "line 3: expected 'i <id> <a> <b>'"),
+            (
+                'p em 2 1\ne 0 1 0\nt (join (leaf 0) (leaf 1))\nt (leaf 0)\n',
+                'line 4: duplicate cotree line',
+            ),
+            ('p em 2 1\ne 0 1 0\nt\n', 'line 3: empty cotree expression'),
+            (
+                'p em 2 1\ne 0 1 0\nt (leaf 0)\n',
+                'line 1: cotree leaves must be exactly 0..n-1',
+            ),
+            ('p em 2 1\ne 0 1 1\ne 1 0 1\n', 'line 3: duplicate edge (0, 1)'),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_instance_text(text)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("first,second", [("1 3", "3 1"), ("3 1", "1 3")])
     def test_duplicate_edge_in_either_orientation(self, first, second):
@@ -230,6 +307,50 @@ class TestCli:
         assert "Traceback" not in done.stderr and "error:" in done.stderr
         if "{bad_sol}" in argv:  # the error names the line
             assert "line 2" in done.stderr
+
+    def test_one_parser_serves_many_calls(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at this width
+        inst, real = gen_interval(8, demand=(0, 2), seed=2)
+        path = self.write(
+            tmp_path, "iv.em",
+            format_instance_text(InstanceDocument(instance=inst, realization=real)),
+        )
+        calls = [
+            ["generate", "--class", "block", "--blocks", "4,5", "--demand", "0..2"],
+            ["generate", "--class", "block"],
+            ["solve", "--class", "block", "--in", path],
+            ["solve", "--in", path],
+            ["solve", "--class", "tree", "--in", path],
+            ["generate", "--class", "block", "--blocks", "4,5", "--demand", "0..2"],
+        ]
+        in_process = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            in_process.append((code, *capsys.readouterr()))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        fresh = [
+            (done.returncode, done.stdout, done.stderr)
+            for done in (
+                subprocess.run(
+                    [sys.executable, "-m", "edgemon.cli", *argv],
+                    capture_output=True, text=True, check=False,
+                    env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"),
+                )
+                for argv in calls
+            )
+        ]
+        assert in_process == fresh
+        assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 2, 0]
+        # the defaults --blocks 3,3 and --demand 1, not the first call's values
+        assert "p em 5 6\n" in fresh[1][1]
+        assert {line[-1] for line in fresh[1][1].splitlines() if line[0] == "e"} == {"1"}
+        assert "not a block graph" in fresh[2][2]  # no auto dispatch
+        assert fresh[3][1].startswith("status ")  # auto picked the interval DP
+        assert fresh[5] == fresh[0]
+        assert build_parser() is build_parser()
 
     def test_duplicate_edge_exit_code(self, capsys, tmp_path):
         path = self.write(tmp_path, "dup.em", "p em 4 2\ne 1 3 1\ne 3 1 1\n")
