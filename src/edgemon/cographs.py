@@ -56,12 +56,18 @@ class Cotree:
         return tuple(out)
 
     def realize(self, n: int) -> Graph:
-        """The graph this tree describes; leaves must be exactly 0..n-1.
+        """The graph this tree describes; leaves must be exactly 0..n-1."""
+        return Graph._build(n, self.edges(n))
+
+    def edges(self, n: int) -> tuple[tuple[int, int], ...]:
+        """The edges of `realize(n)`, as its sorted tuple of normalized
+        pairs, without building the graph.
 
         A post-order walk on an explicit stack, so depth costs no
         recursion: `parts` holds the leaf tuples of the finished subtrees,
         and a finished node replaces its children's tuples by their
-        concatenation, after linking every pair of them if it is a join."""
+        concatenation, after linking every pair of them if it is a join.
+        Leaves are distinct, so every pair is linked at most once."""
         if sorted(self.leaves()) != list(range(n)):
             raise InputError("cotree leaves must be exactly 0..n-1")
         edges: list[tuple[int, int]] = []
@@ -80,9 +86,12 @@ class Cotree:
                 if node.kind == "join":
                     for a, part in enumerate(mine):
                         for other in mine[a + 1:]:
-                            edges.extend((u, v) for u in part for v in other)
+                            edges.extend(
+                                (u, v) if u < v else (v, u) for u in part for v in other
+                            )
                 parts.append(tuple(v for part in mine for v in part))
-        return Graph.from_edges(n, edges)
+        edges.sort()
+        return tuple(edges)
 
     def to_expr(self) -> str:
         if self.kind == "leaf":
@@ -244,8 +253,7 @@ def solve_cograph(inst: Instance, tree: Cotree | None = None) -> Solution:
         tree = cotree_build(inst.graph)
         if tree is None:
             raise InputError("graph is not a cograph")
-    realized = tree.realize(inst.graph.n)
-    if realized.edges != inst.graph.edges:
+    if tree.edges(inst.graph.n) != inst.graph.edges:
         raise InputError("cotree does not realize the instance graph")
     pick = _summarize(tree, inst.cost).gamma_m
     if pick is None:

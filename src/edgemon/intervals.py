@@ -41,16 +41,24 @@ Why this loses nothing:
 A forget check is `(bag_mask & ~(bit_u | bit_v)).bit_count()` plus the
 number of reaches above the larger bag position of u and v.
 
-Only the current step's table is kept.  Each key maps to the integer
-weight of its cheapest partial solution and that solution itself, as a
-bitmask over vertex ids, so the witness is read from the final empty key
-and no earlier table is needed.
+Only the current step's table is kept.  It groups the keys by their
+reaches: each reaches tuple maps to a dict from bag mask to the integer
+weight of the cheapest partial solution with that key and that solution
+itself, as a bitmask over vertex ids, so the witness is read from the
+final empty key and no earlier table is needed.  A step works out each
+group's forget check and its destination groups once, so the loop over
+states keys by a plain int mask.
 
-Among keys of equal weight the one recorded first wins: tables keep
-insertion order, and an introduce records every key without the new
-vertex before any branch that takes it.  This tie-break is not
-lexicographic, so with several optima the witness may differ from the
-oracle's.
+Of two partial solutions with equal keys the table keeps the smaller
+`(weight, chosen)` pair, so among optima the witness is the one with the
+smallest sum(1 << v) over its vertices, whatever order a step visits
+states in.  This is exact.  Two partial solutions with the same key are
+decided on the same vertices, those introduced so far.  Adding the same
+later vertices to both keeps their weight order, and it keeps their mask
+order too, since the highest bit in which the masks differ does not
+change.  So the optimum of least mask is never dropped.  The rule is not
+the oracle's lexicographic one, so with several optima the two witnesses
+may differ.
 
 Endpoints of a realization must be pairwise distinct; user-supplied
 realizations with clashes are repaired by an order-preserving integer
@@ -304,15 +312,15 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
     demand = inst.demand_map()
     bit = {v: 1 << r for v, r in real.right_rank().items()}
 
-    # (bag mask, reaches) -> (integer weight, chosen vertices as a bitmask)
-    Key = tuple[int, tuple[int, ...]]
-    table: dict[Key, tuple[int, int]] = {(0, ()): (0, 0)}
+    # reaches -> {bag mask: (integer weight, chosen vertices as a bitmask)};
+    # of two values for one key the smaller pair wins (module docstring)
+    Table = dict[tuple[int, ...], dict[int, tuple[int, int]]]
+    table: Table = {(): {0: (0, 0)}}
     order: list[int] = []  # the bag in left-endpoint order
 
     for kind, v in decomp.events:
         bv = bit[v]
         if kind == "forget":
-            nxt: dict[Key, tuple[int, int]] = {}
             p = order.index(v)
             checks = []
             for q, u in enumerate(order):
@@ -320,45 +328,57 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
                 if c:
                     checks.append((bit[u], max(p, q), c))
             del order[p]
-            full = len(order)
-            rules: dict[tuple[int, ...], tuple[int, int, tuple[int, ...]]] = {}
-            for (mask, reaches), value in table.items():
-                rule = rules.get(reaches)
-                if rule is None:
-                    rule = rules[reaches] = _forget_rule(reaches, checks, p)
-                top, forbid, shifted = rule
-                rest = mask & ~bv
-                base = rest.bit_count()
-                if base < top or (base == top and rest & forbid):
-                    continue
-                if rest != mask and full >= 2:
-                    shifted = ((full,) + shifted)[: min(cmax, cap - base)]
-                nkey = (rest, shifted)
-                cur = nxt.get(nkey)
-                if cur is None or value[0] < cur[0]:
-                    nxt[nkey] = value
+            full, keep = len(order), ~bv
+            nxt: Table = {}
+            for reaches, group in table.items():
+                top, forbid, shifted = _forget_rule(reaches, checks, p)
+                kept = nxt.setdefault(shifted, {})
+                # a chosen forgotten vertex reaches the whole bag; the key
+                # then depends on how many chosen bag vertices remain
+                if full >= 2:
+                    shifted = (full,) + shifted
+                took = [
+                    nxt.setdefault(shifted[: min(cmax, cap - base)], {})
+                    for base in range(cap)
+                ]
+                for mask, value in group.items():
+                    rest = mask & keep
+                    base = rest.bit_count()
+                    if base < top or (base == top and rest & forbid):
+                        continue
+                    dest = kept if rest == mask else took[base]
+                    cur = dest.get(rest)
+                    if cur is None or value < cur:
+                        dest[rest] = value
         else:
             order.append(v)
             cv, vbit = inst.cost[v], 1 << v
-            nxt = dict(table)
-            for (mask, reaches), (weight, chosen) in table.items():
-                mask |= bv
-                if mask.bit_count() > cap:
-                    mask &= mask - 1
-                nkey = (mask, reaches[: min(cmax, cap - mask.bit_count())])
-                weight += cv
-                cur = nxt.get(nkey)
-                if cur is None or weight < cur[0]:
-                    nxt[nkey] = (weight, chosen | vbit)
-        if len(nxt) > _state_bound(len(order), cmax):
+            nxt = {reaches: dict(group) for reaches, group in table.items()}
+            for reaches, group in table.items():
+                took = [
+                    nxt.setdefault(reaches[: min(cmax, cap - size)], {})
+                    for size in range(cap + 1)
+                ]
+                for mask, (weight, chosen) in group.items():
+                    mask |= bv
+                    size = mask.bit_count()
+                    if size > cap:
+                        mask &= mask - 1
+                        size = cap
+                    dest = took[size]
+                    value = (weight + cv, chosen | vbit)
+                    cur = dest.get(mask)
+                    if cur is None or value < cur:
+                        dest[mask] = value
+        table = {reaches: group for reaches, group in nxt.items() if group}
+        if sum(map(len, table.values())) > _state_bound(len(order), cmax):
             raise RuntimeError("interval DP: more states than the key admits")
-        table = nxt
 
     if not table:
         return Solution.infeasible()
-    if set(table) != {(0, ())}:
+    if set(table) != {()} or set(table[()]) != {0}:
         raise RuntimeError("interval DP: states must collapse once every bag is empty")
-    value, chosen = table[(0, ())]
+    value, chosen = table[()][0]
     taken = [v for v in range(g.n) if chosen >> v & 1]
     return certify(inst, taken, value, "interval DP")
 

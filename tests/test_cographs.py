@@ -93,6 +93,26 @@ class TestRealize:
         g = tree.realize(n)
         assert g.n == n and g.edges == ((a, b), (a, c), (b, c))
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_edges_join_pairs_whose_lowest_common_ancestor_is_a_join(self, seed):
+        n = 2 + 3 * seed
+        _, tree = gen_cograph(n, seed=seed)
+        ancestors = {}  # leaf -> its ancestors, root first
+        stack = [(tree, ())]
+        while stack:
+            node, above = stack.pop()
+            if node.kind == "leaf":
+                ancestors[node.vertex] = above
+            stack.extend((child, above + (node,)) for child in node.children)
+        expect = []
+        for u in range(n):
+            for v in range(u + 1, n):
+                shared = [a for a, b in zip(ancestors[u], ancestors[v]) if a is b]
+                if shared[-1].kind == "join":
+                    expect.append((u, v))
+        assert tree.edges(n) == tuple(expect)
+        assert tree.realize(n) == Graph.from_edges(n, expect)
+
 
 class TestGammaTCograph:
     def test_k2_takes_both(self):

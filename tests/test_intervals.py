@@ -26,31 +26,31 @@ from edgemon.intervals import check_nice_path_decomposition, clique_number
 import bruteforce as bf
 
 # solve_interval values on larger generator instances, captured from the DP
-# that keyed states by vertex tuples, and witness digests, captured from the
-# DP that rebuilt witnesses from per-step predecessor records: (n, lengths,
-# demand, weight, seed, value and digest, or None for both when infeasible)
+# that keyed states by vertex tuples, and witness digests of the optimum with
+# the smallest sum(1 << v): (n, lengths, demand, weight, seed, value and
+# digest, or None for both when infeasible)
 PINNED_VALUES = [
-    (20, "random", (0, 2), (0, 3, 1), 0, "2", "a498feb6d99d0ea5"),
+    (20, "random", (0, 2), (0, 3, 1), 0, "2", "9d2a7dbed94f8a7f"),
     (20, "random", (0, 3), (1, 4, 4), 0, "39/4", "bbb940977ee3b333"),
-    (24, "random", (0, 3), (0, 3, 1), 1, "3", "28d98dfa8453e75f"),
+    (24, "random", (0, 3), (0, 3, 1), 1, "3", "a7f0e4b3ec605b95"),
     (24, "random", (0, 3), (1, 4, 4), 3, None, None),
-    (28, "random", (0, 2), (0, 3, 1), 2, "0", "814efc1e1fb73d14"),
+    (28, "random", (0, 2), (0, 3, 1), 2, "0", "dde57c4504c853be"),
     (28, "random", (0, 3), (1, 4, 4), 3, "16", "72045dac15a03fc9"),
     (32, "random", (0, 2), (1, 4, 4), 1, "11/2", "70149cd5b689c09c"),
     (32, "random", (0, 3), (0, 3, 1), 3, "6", "86750af9606af55d"),
     (36, "random", (0, 2), (0, 3, 1), 3, "1", "61d70b6da3960845"),
     (36, "random", (0, 2), (1, 4, 4), 3, "15/2", "860fc3b31bd62be8"),
     (40, "random", (0, 2), (1, 4, 4), 3, "41/4", "39e6c71197d1fe89"),
-    (40, "random", (0, 2), (0, 3, 1), 3, "3", "2192d54d65fe0a50"),
+    (40, "random", (0, 2), (0, 3, 1), 3, "3", "dd65f946558c6bd0"),
     (20, "unit", (0, 3), (0, 3, 1), 1, "26", "86cb219736dc9722"),
     (20, "unit", (0, 3), (1, 4, 4), 2, None, None),
     (24, "unit", (0, 2), (1, 4, 4), 1, "53/4", "3f8d8100270872b5"),
     (28, "unit", (0, 3), (1, 4, 4), 2, "105/4", "f4bf879cae0787fd"),
-    (32, "unit", (0, 3), (0, 3, 1), 0, "12", "285d0e1fec7eae42"),
-    (36, "unit", (0, 2), (0, 3, 1), 2, "2", "4aef1fc95a7dcdd6"),
-    (36, "unit", (0, 3), (1, 4, 4), 3, "81/4", "987145f12a45dc65"),
-    (40, "unit", (0, 3), (0, 3, 1), 2, "8", "20da6dafa237deb4"),
-    (40, "unit", (0, 2), (1, 4, 4), 0, "61/4", "4b02880946724181"),
+    (32, "unit", (0, 3), (0, 3, 1), 0, "12", "6315b4fc0903443f"),
+    (36, "unit", (0, 2), (0, 3, 1), 2, "2", "44f4e8e6cacce8e1"),
+    (36, "unit", (0, 3), (1, 4, 4), 3, "81/4", "c774eed718b60b5d"),
+    (40, "unit", (0, 3), (0, 3, 1), 2, "8", "9cf7310b3675155f"),
+    (40, "unit", (0, 2), (1, 4, 4), 0, "61/4", "568de8c1e1f8467e"),
 ]
 
 
@@ -243,6 +243,32 @@ class TestSolveInterval:
         assert sol.value == Fraction(value) == inst.weight_of(sol.vertices)
         assert is_monitoring_set(inst, sol.vertices)
         assert witness_digest(sol.vertices) == digest
+
+    @pytest.mark.parametrize("lengths", ["random", "unit"])
+    @pytest.mark.parametrize("demand", [1, (0, 2), (0, 3)], ids=["d1", "d0-2", "d0-3"])
+    def test_witness_is_smallest_mask_optimum(self, lengths, demand):
+        # among optima the witness has the smallest sum(1 << v); checked
+        # against every subset, with each edge's monitors recounted from
+        # the adjacency lists
+        for n, weight, seed in product(range(1, 12), [(0, 3, 1), 1], range(3)):
+            inst, real = gen_interval(
+                n, lengths=lengths, demand=demand, weight=weight, seed=seed
+            )
+            g = inst.graph
+            needs = [
+                (sum(1 << x for x in bf.common_neighbors(g, u, v)), c)
+                for (u, v), c in zip(g.edges, inst.demands)
+            ]
+            best = None
+            for mask in range(1 << n):
+                if all((mon & mask).bit_count() >= c for mon, c in needs):
+                    w = sum(inst.weights[v] for v in range(n) if mask >> v & 1)
+                    if best is None or (w, mask) < best:
+                        best = (w, mask)
+            sol = solve_interval(inst, real)
+            assert sol.feasible == (best is not None)
+            if best is not None:
+                assert (sol.value, sum(1 << v for v in sol.vertices)) == best
 
     def test_memory_stays_with_one_step(self):
         # only the current step's table is kept, not every step's
