@@ -12,11 +12,12 @@ a stack of vertices) emits them in post-order and records, for each, the
 cut vertex it shares with the blocks after it (`BlockCutTree.attach`);
 those vertices are the cut vertices.  Eliminating blocks in that order
 makes each a leaf when its turn comes, so the solver needs no walk of its
-own and no leaf search.  The monitor table of the whole graph is built once, and each
-block reads its demand checks from it once, for both searches.  Apart from
-sorting blocks and members, and the clique searches, whose cost depends
-only on a block's size and demands, the elimination is linear in the size
-of the block-cut tree.
+own and no leaf search.  The graph's demand checks (`core.demand_checks`)
+are read once into one map by edge, and each block takes its own from it
+once; its candidate sets are listed once and serve both searches.  Apart
+from sorting blocks and members, and the clique searches, whose cost
+depends only on a block's size and demands, the elimination is linear in
+the size of the block-cut tree.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from .core import (
     Instance,
     Solution,
     certify,
+    demand_checks,
     is_monitoring_set,  # noqa: F401  unused here; edgebench's tracer hooks it
-    monitor_table,
+    monitor_table,  # noqa: F401  unused here; edgebench's tracer hooks it
 )
 from .complete import _cheapest, _pool
 from .complete import solve_complete_cbounded  # noqa: F401  edgebench's tracer hooks it
@@ -118,11 +120,12 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
 def solve_block(inst: Instance) -> Solution:
     """Exact minimum-weight monitoring set of a block graph.
 
-    One monitor table serves every block: in a block graph the monitors of
-    an edge are the rest of its block.  Blocks are settled in the order of
-    `block_cut_tree`, each by the bounded clique search of `complete` over
-    its own members.  A block with an `attach` vertex is a leaf of what is
-    left: it is settled plain and forced through that vertex, which is then
+    One pass over `demand_checks` serves every block: in a block graph
+    the monitors of an edge are the rest of its block.  Blocks are settled
+    in the order of `block_cut_tree`, each by the bounded clique search of
+    `complete` over its own members.  A block with an `attach` vertex is a
+    leaf of what is left: it is settled plain, then forced through that
+    vertex by keeping the candidate sets that hold it, and the vertex is
     re-priced.  A block without one ends its component: it is settled plain,
     and the component's witness is rebuilt from the recorded steps.
     """
@@ -131,8 +134,7 @@ def solve_block(inst: Instance) -> Solution:
         raise InputError(
             f"not a block graph: blocks {list(tree.non_clique_blocks)} are not cliques"
         )
-    mon = monitor_table(inst)
-    demand = inst.demand_map()
+    check_of = {e: (mon, c) for e, mon, c in demand_checks(inst)}
     cost = list(inst.cost)
 
     total = 0
@@ -141,9 +143,10 @@ def solve_block(inst: Instance) -> Solution:
     steps: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
     for blk, cut in zip(tree.blocks, tree.attach):
         members = sorted(blk)
-        checks = [(mon[e], c) for e in combinations(members, 2) if (c := demand[e])]
+        checks = [chk for e in combinations(members, 2) if (chk := check_of.get(e))]
         cap = max((c for _, c in checks), default=0) + 2
-        plain = _cheapest(checks, cost, _pool(members, cap))
+        pool = list(_pool(members, cap))
+        plain = _cheapest(checks, cost, pool)
         if plain is None:
             return Solution.infeasible()
         total += plain[0]
@@ -154,7 +157,7 @@ def solve_block(inst: Instance) -> Solution:
             witness |= comp_witness
             steps.clear()
             continue
-        forced = _cheapest(checks, cost, _pool(members, cap, cut))
+        forced = _cheapest(checks, cost, (vs for vs in pool if cut in vs))
         # forcing a vertex can neither lose feasibility nor beat the optimum
         if forced is None or forced[0] < plain[0]:
             raise RuntimeError(

@@ -205,10 +205,6 @@ def _solve_class(
 
 
 def _cmd_solve(args) -> int:
-    return _print_solution(_solve_class(args.klass, _read_document(args.infile)))
-
-
-def _cmd_approx(args) -> int:
     doc = _read_document(args.infile)
     return _print_solution(_solve_class(args.klass, doc, args.epsilon))
 
@@ -380,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["complete", "block", "interval", "cograph", "split", "auto"],
     )
     p_solve.add_argument("--in", dest="infile", default=None)
-    p_solve.set_defaults(func=_cmd_solve)
+    p_solve.set_defaults(func=_cmd_solve, epsilon=None)
 
     p_approx = sub.add_parser("approx", help="approximation schemes")
     p_approx.add_argument(
@@ -388,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_approx.add_argument("--epsilon", required=True, type=fraction)
     p_approx.add_argument("--in", dest="infile", default=None)
-    p_approx.set_defaults(func=_cmd_approx)
+    p_approx.set_defaults(func=_cmd_solve)
 
     p_oracle = sub.add_parser("oracle", help="exact branch-and-bound baseline")
     p_oracle.add_argument("--in", dest="infile", default=None)

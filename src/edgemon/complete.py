@@ -11,7 +11,7 @@ approximation scheme for the weighted problem.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import ceil
 from typing import Iterable, Iterator, Sequence
 
@@ -20,10 +20,12 @@ from .core import (
     InputError,
     Instance,
     Solution,
+    certify,
+    demand_checks,
     is_monitoring_set,
     max_demand,
     meets,
-    monitor_table,
+    monitor_table,  # noqa: F401  unused here; edgebench's tracer hooks it
 )
 from .oracle import exists_independent_set
 
@@ -65,29 +67,22 @@ def _cheapest(
     return best
 
 
-def _pool(
-    vertices: Sequence[int], cap: int, force: int | None = None
-) -> Iterator[tuple[int, ...]]:
+def _pool(vertices: Sequence[int], cap: int) -> Iterator[tuple[int, ...]]:
     """Subsets of the sorted `vertices` of size <= cap, in ascending
-    cardinality then lexicographic order; with `force`, only those holding
-    it, each listed with `force` first."""
+    cardinality then lexicographic order.  Filtering it to the sets that
+    hold a vertex keeps their order: two sets of one size that share a
+    vertex compare as the rest of them do."""
     sizes = range(min(cap, len(vertices)) + 1)
-    if force is None:
-        return (c for size in sizes for c in combinations(vertices, size))
-    others = [v for v in vertices if v != force]
-    return (
-        (force,) + rest for size in sizes[1:] for rest in combinations(others, size - 1)
-    )
+    return chain.from_iterable(combinations(vertices, size) for size in sizes)
 
 
 def _search(inst: Instance, pool: Iterable[tuple[int, ...]]) -> Solution:
-    """`_cheapest` of `pool` against every demand of `inst`, as a Solution."""
-    mon = monitor_table(inst)
-    checks = [(mon[e], c) for e, c in zip(inst.graph.edges, inst.demands) if c > 0]
+    """`_cheapest` of `pool` against every demand of `inst`, certified."""
+    checks = [(mon, c) for _, mon, c in demand_checks(inst)]
     best = _cheapest(checks, inst.cost, pool)
     if best is None:
         return Solution.infeasible()
-    return Solution.of(best[1], Fraction(best[0], inst.scale))
+    return certify(inst, best[1], best[0], "bounded search")
 
 
 def solve_complete_cbounded(inst: Instance, force: int | None = None) -> Solution:
@@ -96,13 +91,16 @@ def solve_complete_cbounded(inst: Instance, force: int | None = None) -> Solutio
     _require_complete(inst)
     if force is not None and not (0 <= force < inst.graph.n):
         raise InputError(f"forced vertex {force} out of range")
-    pool = _pool(range(inst.graph.n), max_demand(inst) + 2, force)
+    pool = _pool(range(inst.graph.n), max_demand(inst) + 2)
+    if force is not None:
+        pool = (chosen for chosen in pool if force in chosen)
     return _search(inst, pool)
 
 
 def solve_complete_uniform(inst: Instance) -> Solution:
     """Quasi-linear rule for k-uniform demands, k > 0: the k+2 cheapest
-    vertices (ties by id) are optimal, and fewer than k+2 never suffice."""
+    vertices (ties by id) are optimal, and fewer than k+2 never suffice.
+    `certify` then re-checks every edge, which costs O(n^3) on K_n."""
     _require_complete(inst)
     if not inst.demands:
         raise InputError("uniform rule needs at least one edge")
@@ -113,7 +111,7 @@ def solve_complete_uniform(inst: Instance) -> Solution:
         return Solution.infeasible()
     order = sorted(range(inst.graph.n), key=lambda v: (inst.cost[v], v))
     chosen = order[: k + 2]
-    return Solution.of(chosen, inst.weight_of(chosen))
+    return certify(inst, chosen, sum(inst.cost[v] for v in chosen), "uniform rule")
 
 
 def fpt_monitoring_complete(inst: Instance, k: int) -> bool:
@@ -156,11 +154,14 @@ def ptas_complete(inst: Instance, epsilon) -> Solution:
     """Feasibility-exact (1+epsilon)-approximation for weighted complete
     instances.
 
-    With k = ceil(2/epsilon): small demands are solved exactly by bounded
-    enumeration; when even |V| vertices cannot meet the top demand the
-    instance is infeasible; otherwise candidates mixing the C+2 cheapest
-    vertices with up to k outsiders are scanned, which contains either the
-    optimum or a set within the ratio.
+    With k = ceil(2/epsilon): demands C <= k are solved exactly by
+    `solve_complete_cbounded` (a feasible set larger than C+2 holds a
+    feasible (C+2)-subset that is no heavier and comes earlier in its
+    pool, so sets of up to k+2 vertices would add no better one); when
+    even |V| vertices cannot meet the top demand the instance is
+    infeasible; otherwise candidates mixing the C+2 cheapest vertices with
+    up to k outsiders are scanned, which contains either the optimum or a
+    set within the ratio.
     """
     _require_complete(inst)
     eps = Fraction(epsilon)
@@ -170,7 +171,7 @@ def ptas_complete(inst: Instance, epsilon) -> Solution:
     cmax = max_demand(inst)
     n = inst.graph.n
     if cmax <= k:
-        return _search(inst, _pool(range(n), k + 2))
+        return solve_complete_cbounded(inst)
     if n < cmax + 2:
         return Solution.infeasible()
     order = sorted(range(n), key=lambda v: (inst.cost[v], v))

@@ -297,17 +297,28 @@ def monitor_table(inst: Instance) -> dict[Edge, frozenset[int]]:
     return {(u, v): _monitor_set(g, u, v) for u, v in g.edges}
 
 
+def demand_checks(inst: Instance) -> Iterator[tuple[Edge, frozenset[int], int]]:
+    """(edge, monitors, demand) for each edge of positive demand, in edge
+    order: the monitoring constraint, defined once for every solver and
+    for `deficits`.  Each monitor set is computed when its edge is reached,
+    so no table of the whole graph is built, and a reader that stops early
+    computes no more of them."""
+    adj = inst.graph.adjacency
+    for e, c in zip(inst.graph.edges, inst.demands):
+        if c:
+            u, v = e
+            # `_monitor_set` inline: a call per edge would slow every `certify`
+            yield e, adj[u] & adj[v], c
+
+
 def deficits(inst: Instance, s: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """(u, v, need, have) for every edge uv with fewer than c(uv) monitors
-    inside s, in edge order.  Monitor sets are computed one edge at a time,
-    so no table for the whole graph is built."""
+    inside s, in edge order, read from `demand_checks`."""
     s = _check_vertex_set(inst.graph, s)
-    g = inst.graph
-    for (u, v), c in zip(g.edges, inst.demands):
-        if c:
-            have = len(_monitor_set(g, u, v) & s)
-            if have < c:
-                yield u, v, c, have
+    for (u, v), mon, c in demand_checks(inst):
+        have = len(mon & s)
+        if have < c:
+            yield u, v, c, have
 
 
 def is_monitoring_set(inst: Instance, s: Iterable[int]) -> bool:

@@ -39,7 +39,8 @@ from .core import (
     Graph,
     Instance,
     Solution,
-    monitor_table,
+    demand_checks,
+    monitor_table,  # noqa: F401  unused here; edgebench's tracer hooks it
     scaled_weights,
 )
 
@@ -205,17 +206,10 @@ def _cover(
 def exact_gamma_m(inst: Instance, budget: SearchBudget | None = None) -> Solution:
     """Minimum-weight monitoring set, or infeasible when some edge cannot
     gather enough monitors."""
-    budget = _default(budget, GAMMA_M_BUDGET)
-
-    def constraints():
-        # runs on the engine's first read, after its budget check, so a
-        # refused instance builds no monitor table
-        mon = monitor_table(inst)
-        for e, c in zip(inst.graph.edges, inst.demands):
-            if c > 0:
-                yield mon[e], c
-
-    return _cover(inst.cost, inst.scale, constraints(), None, budget)
+    # read lazily, after the engine's budget check, so a refused instance
+    # computes no monitor set
+    constraints = ((mon, c) for _, mon, c in demand_checks(inst))
+    return _cover(inst.cost, inst.scale, constraints, None, budget)
 
 
 def exact_gamma_t(
@@ -224,7 +218,7 @@ def exact_gamma_t(
 ) -> Solution:
     """Minimum-weight total dominating set (every vertex has a neighbor in S)."""
     budget = _default(budget, DOMINATION_BUDGET)
-    weights = _unit_weights(g) if weights is None else tuple(weights)
+    weights = (1,) * g.n if weights is None else tuple(weights)
     constraints = [(g.neighbors(v), 1) for v in range(g.n)]
     return minimum_weight_cover(weights, constraints, budget=budget)
 
@@ -235,13 +229,9 @@ def exact_double_dom(
 ) -> Solution:
     """Minimum-weight double dominating set (two closed neighbors in S each)."""
     budget = _default(budget, DOMINATION_BUDGET)
-    weights = _unit_weights(g) if weights is None else tuple(weights)
+    weights = (1,) * g.n if weights is None else tuple(weights)
     constraints = [(g.closed_neighbors(v), 2) for v in range(g.n)]
     return minimum_weight_cover(weights, constraints, budget=budget)
-
-
-def _unit_weights(g: Graph) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1) for _ in range(g.n))
 
 
 def exists_independent_set(
@@ -296,4 +286,4 @@ def exact_vertex_cover(g: Graph, budget: SearchBudget | None = None) -> Solution
     lexicographically smallest minimum cover."""
     budget = _default(budget, DOMINATION_BUDGET)
     constraints = [(frozenset(e), 1) for e in g.edges]
-    return minimum_weight_cover(_unit_weights(g), constraints, budget=budget)
+    return minimum_weight_cover((1,) * g.n, constraints, budget=budget)

@@ -26,9 +26,10 @@ from .core import (
     Instance,
     Solution,
     certify,
+    demand_checks,
     feasibility_precheck,
     is_monitoring_set,  # noqa: F401  unused here; edgebench's tracer hooks it
-    monitor_table,
+    monitor_table,  # noqa: F401  unused here; edgebench's tracer hooks it
 )
 from .oracle import BudgetExceeded, SearchBudget, _cover
 from .oracle import minimum_weight_cover  # noqa: F401  unused; edgebench's tracer hooks it
@@ -111,9 +112,8 @@ def solve_band(
 
 def _demanded(inst: Instance) -> dict[Edge, tuple[frozenset[int], int]]:
     """The (monitors, demand) constraint of each edge of positive demand,
-    from one monitor table of the whole instance."""
-    mon = monitor_table(inst)
-    return {e: (mon[e], c) for e, c in zip(inst.graph.edges, inst.demands) if c > 0}
+    from one pass over `demand_checks`."""
+    return {e: (mon, c) for e, mon, c in demand_checks(inst)}
 
 
 def _solve_band(

@@ -202,38 +202,24 @@ def _embed_chains(
 
 
 def split_partition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Clique/independent partition of a split graph via the degree
-    sequence criterion; None when the graph is not split."""
-    if g.n == 0:
-        return (), ()
+    """Clique/independent partition of a split graph; None when the graph
+    is not split.
+
+    Hammer and Simeone's criterion (The splittance of a graph, Combinatorica
+    1981): with degrees d_1 >= ... >= d_n and m the largest i such that
+    d_i >= i - 1, the graph is split iff the m top-degree vertices K and the
+    rest I satisfy sum_K d = m(m-1) + sum_I d.  K is then a clique and I is
+    independent, whichever way degree ties are broken: sum_K d = 2e(K) +
+    e(K, I) and sum_I d = 2e(I) + e(K, I), so the equality reads
+    2e(K) - m(m-1) = 2e(I), whose left side is at most 0 and whose right
+    side is at least 0.  `split_gamma_m` re-checks the partition anyway.
+    """
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     degs = [g.degree(v) for v in order]
     m = max((i for i in range(1, g.n + 1) if degs[i - 1] >= i - 1), default=0)
     if sum(degs[:m]) != m * (m - 1) + sum(degs[m:]):
         return None
-
-    def valid(k_side: list[int]) -> bool:
-        i_side = [v for v in range(g.n) if v not in set(k_side)]
-        return g.is_clique(k_side) and not any(
-            g.has_edge(a, b) for x, a in enumerate(i_side) for b in i_side[x + 1 :]
-        )
-
-    k_side = order[:m]
-    if valid(k_side):
-        return tuple(sorted(k_side)), tuple(sorted(set(range(g.n)) - set(k_side)))
-    # equal-degree vertices at the boundary may need swapping
-    boundary = degs[m - 1]
-    ins = [v for v in k_side if g.degree(v) == boundary]
-    outs = [v for v in order[m:] if g.degree(v) == boundary]
-    for a in ins:
-        for b in outs:
-            candidate = [v for v in k_side if v != a] + [b]
-            if valid(candidate):
-                return (
-                    tuple(sorted(candidate)),
-                    tuple(sorted(set(range(g.n)) - set(candidate))),
-                )
-    return None
+    return tuple(sorted(order[:m])), tuple(sorted(order[m:]))
 
 
 def split_gamma_m(
@@ -270,6 +256,6 @@ def split_gamma_m(
     constraints = [(g.closed_neighbors(v), 2) for v in range(g.n)]
     constraints.append((clique, 3))
     sol = minimum_weight_cover(inst.weights, constraints, allowed=clique, budget=budget)
-    # degree >= 2 makes the clique side always sufficient; unit weights make
-    # the value its own integer cost
-    return certify(inst, sol.vertices, sol.value, "split search")
+    # degree >= 2 makes the clique side always sufficient; under unit
+    # weights the integer weight of the witness is its size
+    return certify(inst, sol.vertices, len(sol.vertices), "split search")

@@ -350,18 +350,18 @@ class TestSolveBlock:
         import edgemon.blocks
 
         inst = gen_block_graph(sizes, demand=(0, 1), weight=(1, 3, 4), seed=3)
-        graphs, tables = [], []
-        from_edges, monitor_table = Graph.from_edges, edgemon.blocks.monitor_table
+        graphs, passes = [], []
+        from_edges, demand_checks = Graph.from_edges, edgemon.blocks.demand_checks
 
         def counting_graph(n, edges):
             graphs.append(n)
             return from_edges(n, edges)
 
-        def counting_table(i):
-            tables.append(i)
-            return monitor_table(i)
+        def counting_checks(i):
+            passes.append(i)
+            return demand_checks(i)
 
         monkeypatch.setattr(Graph, "from_edges", staticmethod(counting_graph))
-        monkeypatch.setattr(edgemon.blocks, "monitor_table", counting_table)
+        monkeypatch.setattr(edgemon.blocks, "demand_checks", counting_checks)
         assert solve_block(inst).feasible
-        assert (len(graphs), len(tables)) == (0, 1)
+        assert (len(graphs), len(passes)) == (0, 1)

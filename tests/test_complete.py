@@ -4,6 +4,7 @@ parameterized recursion, and the weighted approximation scheme."""
 import pytest
 from fractions import Fraction
 from itertools import combinations
+from math import ceil
 
 from edgemon import (
     Graph,
@@ -17,6 +18,7 @@ from edgemon import (
     is_monitoring_set,
     minimum_weight_cover,
     ptas_complete,
+    Solution,
     solve_complete_cbounded,
     solve_complete_uniform,
 )
@@ -32,6 +34,21 @@ def single_hot_edge(n: int, c: int) -> Instance:
     demand = {e: 0 for e in g.edges}
     demand[(0, 1)] = c
     return Instance.make(g, demand=demand)
+
+
+def first_cheapest(inst: Instance, pool) -> Solution:
+    """The first monitoring set of `pool` whose weight no later one beats,
+    as the bounded search defines its witness."""
+    best = None
+    for chosen in pool:
+        w = inst.weight_of(chosen)
+        if (best is None or w < best[0]) and is_monitoring_set(inst, chosen):
+            best = w, chosen
+    return Solution.infeasible() if best is None else Solution.of(best[1], best[0])
+
+
+def sets_up_to(n: int, cap: int):
+    return (c for size in range(min(cap, n) + 1) for c in combinations(range(n), size))
 
 
 class TestGammaBounds:
@@ -127,6 +144,51 @@ class TestCBounded:
         assert mine.feasible == ref.feasible
         if mine.feasible:
             assert mine.value == ref.value
+
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_forced_witness_is_the_first_cheapest_set_holding_the_vertex(self, seed):
+        # the forced search filters the plain pool; listing the sets as
+        # (force,) + rest, with rest from the other vertices, gives the
+        # same order and so the same witness
+        rng = SplitMix64(seed + 600)
+        n = 1 + rng.below(7)
+        inst = gen_complete(n, demand=(0, 3), weight=(0, 3, 2), seed=seed)
+        cap = max(inst.demands, default=0) + 2
+        for force in range(n):
+            others = [v for v in range(n) if v != force]
+            pool = (
+                (force,) + rest
+                for size in range(1, min(cap, n) + 1)
+                for rest in combinations(others, size - 1)
+            )
+            assert solve_complete_cbounded(inst, force=force) == first_cheapest(inst, pool)
+
+    def test_every_answer_is_certified(self, monkeypatch):
+        import edgemon.complete
+
+        calls = []
+        certify = edgemon.complete.certify
+
+        def counting(inst, vertices, value, who):
+            calls.append(who)
+            return certify(inst, vertices, value, who)
+
+        monkeypatch.setattr(edgemon.complete, "certify", counting)
+        inst = gen_complete(6, demand=(1, 4), weight=(1, 3, 4), seed=2)
+        solve_complete_cbounded(inst)
+        solve_complete_cbounded(inst, force=5)
+        ptas_complete(inst, 2)
+        ptas_complete(inst, Fraction(1, 2))
+        solve_complete_uniform(gen_complete(6, demand=2, weight=(1, 3, 4), seed=2))
+        assert len(calls) == 5
+
+    def test_a_wrong_witness_is_refused(self, monkeypatch):
+        import edgemon.complete
+
+        monkeypatch.setattr(edgemon.complete, "_cheapest", lambda *args: (0, ()))
+        with pytest.raises(RuntimeError, match="misses a demand"):
+            solve_complete_cbounded(gen_complete(4, demand=1))
 
 
 class TestUniformRule:
@@ -240,6 +302,20 @@ class TestPtasComplete:
     def test_bad_epsilon_rejected(self):
         with pytest.raises(InputError):
             ptas_complete(gen_complete(4, demand=1), 0)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_small_demands_need_no_set_past_c_plus_2(self, seed):
+        # with C <= k the scheme is the bounded search over sets of at most
+        # C+2 vertices; every set of up to k+2 vertices gives the same Solution
+        rng = SplitMix64(seed + 800)
+        n = 1 + rng.below(8)
+        inst = gen_complete(n, demand=(0, 3), weight=(0, 3, 2), seed=seed)
+        cmax = max(inst.demands, default=0)
+        for eps in (Fraction(2), Fraction(1), Fraction(1, 2)):
+            k = ceil(2 / eps)
+            if cmax <= k:
+                ref = first_cheapest(inst, sets_up_to(n, k + 2))
+                assert ptas_complete(inst, eps) == ref
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2)])

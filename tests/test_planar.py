@@ -179,18 +179,18 @@ class TestPtasPlanar:
     def test_one_monitor_table_per_call(self, monkeypatch):
         import edgemon.planar
 
-        builds = []
-        table = edgemon.planar.monitor_table
+        passes = []
+        demand_checks = edgemon.planar.demand_checks
 
         def counting(inst):
-            builds.append(inst.graph.n)
-            return table(inst)
+            passes.append(inst.graph.n)
+            return demand_checks(inst)
 
-        monkeypatch.setattr(edgemon.planar, "monitor_table", counting)
+        monkeypatch.setattr(edgemon.planar, "demand_checks", counting)
         inst = gen_planar(3, 14, triangulate=True, demand=(0, 1), seed=3)
         sol = ptas_planar(inst, 1)
         assert sol.feasible == feasibility_precheck(inst)
-        assert builds == [42]
+        assert passes == [42]
 
     def test_bands_without_vertices_are_not_solved(self, monkeypatch):
         bands = []

@@ -329,3 +329,51 @@ class TestSplitPartition:
         g = inst.graph
         assert g.is_clique(k)
         assert not any(g.has_edge(a, b) for a, b in combinations(i, 2))
+
+    @staticmethod
+    def check_against_brute_force(g: Graph) -> bool:
+        """Whether g is split, by trying every clique side, after checking
+        that `split_partition` agrees and that its answer is a partition
+        into a clique and an independent set."""
+        def is_partition(k, i):
+            return g.is_clique(k) and not any(g.has_edge(a, b) for a, b in combinations(i, 2))
+
+        split = any(
+            is_partition(
+                [v for v in range(g.n) if mask >> v & 1],
+                [v for v in range(g.n) if not mask >> v & 1],
+            )
+            for mask in range(1 << g.n)
+        )
+        parts = split_partition(g)
+        assert (parts is not None) == split
+        if parts is not None:
+            k, i = parts
+            assert sorted(k + i) == list(range(g.n))
+            assert is_partition(k, i)
+        return split
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_graph_up_to_five_vertices(self, n):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            chosen = [e for j, e in enumerate(pairs) if mask >> j & 1]
+            self.check_against_brute_force(Graph.from_edges(n, chosen))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_graphs_up_to_nine_vertices(self, seed):
+        rng = SplitMix64(seed + 700)
+        outcomes = set()
+        for _ in range(10):
+            n = 6 + rng.below(4)
+            density = rng.below(11)
+            edges = [e for e in combinations(range(n), 2) if rng.below(10) < density]
+            outcomes.add(self.check_against_brute_force(Graph.from_edges(n, edges)))
+            # a generated split graph, then one vertex pair flipped
+            split = gen_split(2 + rng.below(4), 1 + rng.below(4), seed=rng.below(1000)).graph
+            assert self.check_against_brute_force(split)
+            a, b = sorted((rng.below(split.n), rng.below(split.n)))
+            if a != b:
+                flipped = set(split.edges) ^ {(a, b)}
+                outcomes.add(self.check_against_brute_force(Graph.from_edges(split.n, flipped)))
+        assert outcomes == {True, False}
