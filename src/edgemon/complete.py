@@ -100,7 +100,8 @@ def solve_complete_cbounded(inst: Instance, force: int | None = None) -> Solutio
 def solve_complete_uniform(inst: Instance) -> Solution:
     """Quasi-linear rule for k-uniform demands, k > 0: the k+2 cheapest
     vertices (ties by id) are optimal, and fewer than k+2 never suffice.
-    `certify` then re-checks every edge, which costs O(n^3) on K_n."""
+    `certify` then re-checks every edge against the k+2 chosen vertices
+    alone, O(k) per edge."""
     _require_complete(inst)
     if not inst.demands:
         raise InputError("uniform rule needs at least one edge")

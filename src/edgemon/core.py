@@ -297,13 +297,21 @@ def monitor_table(inst: Instance) -> dict[Edge, frozenset[int]]:
     return {(u, v): _monitor_set(g, u, v) for u, v in g.edges}
 
 
-def demand_checks(inst: Instance) -> Iterator[tuple[Edge, frozenset[int], int]]:
+def demand_checks(
+    inst: Instance, within: frozenset[int] | None = None
+) -> Iterator[tuple[Edge, frozenset[int], int]]:
     """(edge, monitors, demand) for each edge of positive demand, in edge
     order: the monitoring constraint, defined once for every solver and
     for `deficits`.  Each monitor set is computed when its edge is reached,
     so no table of the whole graph is built, and a reader that stops early
-    computes no more of them."""
+    computes no more of them.
+
+    With `within`, each monitor set is M(uv) & within, read from
+    adjacencies cut to `within` once per call, so an edge costs the size
+    of its monitors inside `within`, not of its endpoints' neighborhoods."""
     adj = inst.graph.adjacency
+    if within is not None:
+        adj = [a & within for a in adj]
     for e, c in zip(inst.graph.edges, inst.demands):
         if c:
             u, v = e
@@ -313,12 +321,11 @@ def demand_checks(inst: Instance) -> Iterator[tuple[Edge, frozenset[int], int]]:
 
 def deficits(inst: Instance, s: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """(u, v, need, have) for every edge uv with fewer than c(uv) monitors
-    inside s, in edge order, read from `demand_checks`."""
+    inside s, in edge order, read from `demand_checks` within s."""
     s = _check_vertex_set(inst.graph, s)
-    for (u, v), mon, c in demand_checks(inst):
-        have = len(mon & s)
-        if have < c:
-            yield u, v, c, have
+    for (u, v), mon, c in demand_checks(inst, s):
+        if len(mon) < c:
+            yield u, v, c, len(mon)
 
 
 def is_monitoring_set(inst: Instance, s: Iterable[int]) -> bool:

@@ -60,6 +60,33 @@ change.  So the optimum of least mask is never dropped.  The rule is not
 the oracle's lexicographic one, so with several optima the two witnesses
 may differ.
 
+Introduce steps are pruned by an incumbent.  Before the sweep,
+`_incumbent` finds a monitoring set by reverse delete and returns its
+integer weight, the limit, and a state takes the new vertex only when its
+weight plus the vertex's stays within the limit.  This keeps the value and
+the witness.  Let S* be the optimum with the smallest `(weight, chosen)`
+pair.  At each step the state at the key of S*'s prefix (its vertices
+introduced so far) is that prefix itself: a state with a smaller pair
+there would complete, as the prefix does, to a monitoring set with a
+smaller pair than S*.  Weights are non-negative, so
+every prefix weighs at most OPT, which is at most the limit, and no
+introduce drops it.  Only states strictly heavier than the limit go: when
+the reverse-delete set is optimal, the last prefix of S* weighs exactly the
+limit.  So `_state_bound` stays an upper bound, and the collapse check and
+`certify` see the same optimum as without the prune.
+
+The reverse delete starts from all vertices and visits them by the key
+`(-cost, number of demanded edges monitored, id)`, dropping a vertex when
+every edge it monitors keeps its demand.  Among equal weights the vertex
+that monitors fewer demanded edges goes first.  That tie-break is what
+makes the limit tight under unit weights: breaking ties by id alone lands
+2-3 above the optimum on unit-weight `gen_interval(80, demand=(0, 2))`
+and prunes far fewer states.  When even all vertices miss a demand,
+`_incumbent` returns None and `solve_interval` answers infeasible without
+the sweep, after checking the realization.  Otherwise the optimum
+survives, so an empty final table is a fault and the collapse check
+raises.
+
 Endpoints of a realization must be pairwise distinct; user-supplied
 realizations with clashes are repaired by an order-preserving integer
 re-coordinatization (left endpoints win ties so touching intervals keep
@@ -78,6 +105,7 @@ from .core import (
     Instance,
     Solution,
     certify,
+    demand_checks,
     is_monitoring_set,  # noqa: F401  unused here; edgebench's tracer hooks it
     max_demand,
     monitor_table,  # noqa: F401  unused here; edgebench's tracer hooks it
@@ -293,20 +321,52 @@ def _forget_rule(
     return top, forbid, shifted
 
 
+def _incumbent(inst: Instance) -> int | None:
+    """Integer weight of a monitoring set found by reverse delete, or None
+    when taking every vertex misses a demand.
+
+    One pass over `demand_checks` gives each demanded edge its slack (its
+    monitors minus its demand) and each vertex the demanded edges it
+    monitors.  Vertices are then visited heaviest first, ties going to the
+    one that monitors fewer demanded edges and then to the smaller id, and
+    a vertex is dropped when every edge it monitors keeps its demand."""
+    slack: list[int] = []
+    watched: list[list[int]] = [[] for _ in range(inst.graph.n)]
+    for _, mon, c in demand_checks(inst):
+        if len(mon) < c:
+            return None
+        for w in mon:
+            watched[w].append(len(slack))
+        slack.append(len(mon) - c)
+    cost = inst.cost
+    left = sum(cost)
+    order = sorted(range(inst.graph.n), key=lambda v: (-cost[v], len(watched[v]), v))
+    for v in order:
+        if all(slack[i] for i in watched[v]):
+            for i in watched[v]:
+                slack[i] -= 1
+            left -= cost[v]
+    return left
+
+
 def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
     """Exact minimum-weight monitoring set of an interval instance.
 
     The realization must induce exactly the instance graph.  Forget steps
     keep a key only when it meets every demand on edges between the
     forgotten vertex and the current bag; introduce steps branch on taking
-    the new vertex, adding its bit to the chosen-vertex mask.  The witness
-    is the mask of the one state left after the last forget.
+    the new vertex, adding its bit to the chosen-vertex mask, unless that
+    makes the state heavier than the `_incumbent` bound.  The witness is
+    the mask of the one state left after the last forget.
     """
     decomp = nice_path_decomposition(real)
     real = decomp.realization
     g = inst.graph
     if real.n != g.n or decomp.graph.edges != g.edges:
         raise InputError("realization does not induce the instance graph")
+    limit = _incumbent(inst)
+    if limit is None:
+        return Solution.infeasible()
     cmax = max_demand(inst)
     cap = cmax + 2
     demand = inst.demand_map()
@@ -353,6 +413,7 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
         else:
             order.append(v)
             cv, vbit = inst.cost[v], 1 << v
+            room = limit - cv  # heaviest state that may still take v
             nxt = {reaches: dict(group) for reaches, group in table.items()}
             for reaches, group in table.items():
                 took = [
@@ -360,6 +421,8 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
                     for size in range(cap + 1)
                 ]
                 for mask, (weight, chosen) in group.items():
+                    if weight > room:
+                        continue
                     mask |= bv
                     size = mask.bit_count()
                     if size > cap:
@@ -374,8 +437,6 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
         if sum(map(len, table.values())) > _state_bound(len(order), cmax):
             raise RuntimeError("interval DP: more states than the key admits")
 
-    if not table:
-        return Solution.infeasible()
     if set(table) != {()} or set(table[()]) != {0}:
         raise RuntimeError("interval DP: states must collapse once every bag is empty")
     value, chosen = table[()][0]

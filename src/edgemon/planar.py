@@ -27,7 +27,6 @@ from .core import (
     Solution,
     certify,
     demand_checks,
-    feasibility_precheck,
     is_monitoring_set,  # noqa: F401  unused here; edgebench's tracer hooks it
     monitor_table,  # noqa: F401  unused here; edgebench's tracer hooks it
 )
@@ -141,8 +140,9 @@ def ptas_planar(
 ) -> Solution:
     """(k+2)/k-approximation with k = ceil(2/epsilon), per component.
 
-    A failed demand precheck means no monitoring set exists at all.  After
-    it passes, every band subproblem is feasible, each offset's union
+    An edge with fewer monitors than its demand means no monitoring set
+    exists at all; the constraints read once for the bands show it.
+    Otherwise every band subproblem is feasible, each offset's union
     monitors the whole component, and the cheapest offset is kept.
 
     A band that holds no vertex is not solved.  It has no constraint, and
@@ -158,12 +158,12 @@ def ptas_planar(
         raise InputError("epsilon must be positive")
     k = ceil(Fraction(2) / eps)
     g = inst.graph
-    if not feasibility_precheck(inst):
+    demanded = _demanded(inst)
+    if any(len(mon) < c for mon, c in demanded.values()):
         return Solution.infeasible()
     if g.n >= 3 and g.m > 3 * g.n - 6:
         warnings.warn("edge count exceeds the planar bound 3n-6", stacklevel=2)
 
-    demanded = _demanded(inst)
     total = 0
     witness: set[int] = set()
     for comp in g.connected_components():
@@ -191,5 +191,5 @@ def ptas_planar(
         total += best_w
         witness |= best_set
 
-    # the precheck makes every band feasible, so a miss is a solver fault
+    # every band is feasible (checked above), so a miss is a solver fault
     return certify(inst, witness, total, "planar sweep")

@@ -3,7 +3,6 @@
 import importlib
 from math import lcm
 
-import edgemon.planar
 import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings
@@ -29,6 +28,8 @@ from edgemon import (
     split_gamma_m,
 )
 from edgemon.core import certify, scaled_weights
+
+import bruteforce as bf
 
 K4 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -114,16 +115,22 @@ class TestDeficits:
     @given(graphs_strategy(), st.data())
     @settings(max_examples=80, deadline=None)
     def test_counts_match_monitors(self, g, data):
-        inst = Instance.make(g, demand=2)
-        s = data.draw(
+        # every deficit line against monitors recounted from the adjacency
+        # lists, for the empty set, all vertices and a drawn set
+        demand = data.draw(
+            st.lists(st.integers(0, 3), min_size=g.m, max_size=g.m)
+        )
+        inst = Instance.make(g, demand=dict(zip(g.edges, demand)))
+        drawn = data.draw(
             st.sets(st.integers(min_value=0, max_value=g.n - 1), max_size=g.n)
         )
-        expected = [
-            (u, v, 2, len(set(monitors(g, (u, v))) & s))
-            for u, v in g.edges
-            if len(set(monitors(g, (u, v))) & s) < 2
-        ]
-        assert list(deficits(inst, s)) == expected
+        for s in (set(), set(range(g.n)), drawn):
+            expected = [
+                (u, v, c, have)
+                for (u, v), c in zip(g.edges, demand)
+                if (have := len(bf.common_neighbors(g, u, v) & s)) < c
+            ]
+            assert list(deficits(inst, s)) == expected
 
 
 class TestScaledWeights:
@@ -159,11 +166,6 @@ class TestWitnessChecks:
             "is_monitoring_set",
             lambda inst, s: False,
         )
-        if module == "planar":
-            # the demand precheck asks the same kernel; keep its answer on K4
-            monkeypatch.setattr(
-                edgemon.planar, "feasibility_precheck", lambda inst: True
-            )
         with pytest.raises(RuntimeError, match="witness misses a demand|miss a demand"):
             WITNESS_CHECKED[module]()
 

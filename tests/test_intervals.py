@@ -13,6 +13,7 @@ from edgemon import (
     IntervalRealization,
     SplitMix64,
     exact_gamma_m,
+    feasibility_precheck,
     gen_interval,
     is_monitoring_set,
     monitors,
@@ -21,6 +22,7 @@ from edgemon import (
     solve_interval,
     unit_interval_bound_check,
 )
+from edgemon import intervals
 from edgemon.intervals import check_nice_path_decomposition, clique_number
 
 import bruteforce as bf
@@ -269,6 +271,43 @@ class TestSolveInterval:
             assert sol.feasible == (best is not None)
             if best is not None:
                 assert (sol.value, sum(1 << v for v in sol.vertices)) == best
+
+    @pytest.mark.parametrize("lengths", ["random", "unit"])
+    @pytest.mark.parametrize("demand", [1, (0, 2), (0, 3)], ids=["d1", "d0-2", "d0-3"])
+    def test_incumbent_prune_is_exact(self, monkeypatch, lengths, demand):
+        # the same Solution with the prune off: the bound is then the weight
+        # of all vertices, which no state exceeds
+        cases = [
+            gen_interval(n, lengths=lengths, demand=demand, weight=weight, seed=seed)
+            for n, weight, seed in product(range(2, 31, 4), [(0, 3, 1), 1], range(2))
+        ]
+        pruned = [solve_interval(*case) for case in cases]
+        assert any(
+            intervals._incumbent(inst) < sum(inst.cost)
+            for (inst, _), sol in zip(cases, pruned)
+            if sol.feasible
+        )
+        incumbent = intervals._incumbent
+        monkeypatch.setattr(
+            intervals,
+            "_incumbent",
+            lambda inst: None if incumbent(inst) is None else sum(inst.cost),
+        )
+        assert [solve_interval(*case) for case in cases] == pruned
+
+    @pytest.mark.parametrize("lengths", ["random", "unit"])
+    def test_incumbent_bounds_the_optimum(self, lengths):
+        # None exactly when no monitoring set exists; otherwise at least the
+        # optimum, on the instance's integer scale
+        for seed in range(20):
+            inst, _ = gen_interval(
+                3 + seed % 12, lengths=lengths, demand=(0, 1 + seed % 3),
+                weight=((0, 3, 1), 1, (1, 4, 4))[seed % 3], seed=seed,
+            )
+            bound = intervals._incumbent(inst)
+            assert (bound is None) == (not feasibility_precheck(inst))
+            if bound is not None:
+                assert bound >= exact_gamma_m(inst).value * inst.scale
 
     def test_memory_stays_with_one_step(self):
         # only the current step's table is kept, not every step's

@@ -192,6 +192,28 @@ class TestPtasPlanar:
         assert sol.feasible == feasibility_precheck(inst)
         assert passes == [42]
 
+    def test_two_constraint_passes_per_call(self, monkeypatch):
+        # one pass builds the band constraints and shows infeasibility,
+        # the other is the witness re-check in `certify`
+        import edgemon.core
+
+        passes = []
+
+        def counting(name, demand_checks):
+            def wrapped(inst, *rest):
+                passes.append(name)
+                return demand_checks(inst, *rest)
+
+            return wrapped
+
+        for module in (edgemon.core, edgemon.planar):
+            monkeypatch.setattr(
+                module, "demand_checks", counting(module.__name__, module.demand_checks)
+            )
+        inst = gen_planar(3, 14, triangulate=True, demand=(0, 1), seed=3)
+        assert ptas_planar(inst, 1).feasible
+        assert passes == ["edgemon.planar", "edgemon.core"]
+
     def test_bands_without_vertices_are_not_solved(self, monkeypatch):
         bands = []
         solve = edgemon.planar._solve_band
