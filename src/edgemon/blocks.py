@@ -23,7 +23,7 @@ the size of the block-cut tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, tee
 
 from .core import (
     Graph,
@@ -145,7 +145,8 @@ def solve_block(inst: Instance) -> Solution:
         members = sorted(blk)
         checks = [chk for e in combinations(members, 2) if (chk := check_of.get(e))]
         cap = max((c for _, c in checks), default=0) + 2
-        pool = list(_pool(members, cap))
+        # drawn lazily: a demand above len(members) - 2 draws no set at all
+        pool, again = tee(_pool(members, cap))
         plain = _cheapest(checks, cost, pool)
         if plain is None:
             return Solution.infeasible()
@@ -157,7 +158,7 @@ def solve_block(inst: Instance) -> Solution:
             witness |= comp_witness
             steps.clear()
             continue
-        forced = _cheapest(checks, cost, (vs for vs in pool if cut in vs))
+        forced = _cheapest(checks, cost, (vs for vs in again if cut in vs))
         # forcing a vertex can neither lose feasibility nor beat the optimum
         if forced is None or forced[0] < plain[0]:
             raise RuntimeError(

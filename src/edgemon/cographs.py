@@ -10,13 +10,26 @@ The total-domination recursion used here (any cross pair totally dominates
 a join; a one-sided set must totally dominate its own side) is not part of
 the monitoring formula itself and is gated by oracle equivalence in the
 test suite.
+
+No walk here recurses per level, so a deep cotree meets no recursion
+limit.  `Cotree._preorder` lists the nodes from an explicit stack, and
+`Cotree.fold` reads that list backwards as a post-order that hands each
+node its children's values left to right; the edges, the expression text
+and the summaries are folds, and the leaves are read off the same list.
+`cotree_build` splits vertex sets on an explicit stack and assembles the
+tree children first, keeping each split's components in order.  So the
+values, the order they are combined in, and every tree and text are those
+of the plain recursion.  Only `Cotree.from_expr` still recurses, once per
+nesting level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from functools import partial, reduce
+from itertools import combinations
+from typing import Any, Callable, Sequence
 
 from .core import Graph, InputError, Instance, Solution, certify, components
 from .core import is_monitoring_set  # noqa: F401  unused; edgebench's tracer hooks it
@@ -45,59 +58,64 @@ class Cotree:
 
     def leaves(self) -> tuple[int, ...]:
         """Leaf vertices, left to right."""
-        out: list[int] = []
-        stack: list[Cotree] = [self]
-        while stack:
-            node = stack.pop()
-            if node.kind == "leaf":
-                out.append(node.vertex)
-            else:
-                stack.extend(reversed(node.children))
-        return tuple(out)
+        order = reversed(self._preorder())
+        return tuple(tree.vertex for tree in order if not tree.children)
 
     def realize(self, n: int) -> Graph:
         """The graph this tree describes; leaves must be exactly 0..n-1."""
         return Graph._build(n, self.edges(n))
 
+    def _preorder(self) -> list["Cotree"]:
+        """Every node in pre-order, last child first, listed from an
+        explicit stack; read backwards, it is a post-order with the
+        children in order."""
+        order: list[Cotree] = []
+        stack = [self]
+        while stack:
+            tree = stack.pop()
+            order.append(tree)
+            stack.extend(tree.children)
+        return order
+
+    def fold(self, leaf: Callable[[int], Any], node: Callable[[str, list], Any]) -> Any:
+        """Post-order fold: `leaf(v)` for each leaf, left to right, and
+        `node(kind, values)` for each internal node with its children's
+        values in order.  No recursion: `values` holds the values of the
+        finished subtrees, and each node replaces its children's values by
+        its own."""
+        values: list = []
+        for tree in reversed(self._preorder()):
+            if tree.children:
+                k = len(tree.children)
+                values[-k:] = [node(tree.kind, values[-k:])]
+            else:
+                values.append(leaf(tree.vertex))
+        return values[0]
+
     def edges(self, n: int) -> tuple[tuple[int, int], ...]:
         """The edges of `realize(n)`, as its sorted tuple of normalized
         pairs, without building the graph.
 
-        A post-order walk on an explicit stack, so depth costs no
-        recursion: `parts` holds the leaf tuples of the finished subtrees,
-        and a finished node replaces its children's tuples by their
-        concatenation, after linking every pair of them if it is a join.
-        Leaves are distinct, so every pair is linked at most once."""
-        if sorted(self.leaves()) != list(range(n)):
-            raise InputError("cotree leaves must be exactly 0..n-1")
+        A fold whose values are the subtrees' leaf tuples: a join links
+        every pair of its children's tuples.  The root's tuple must then
+        be 0..n-1, so leaves are distinct and no pair is linked twice."""
         edges: list[tuple[int, int]] = []
-        parts: list[tuple[int, ...]] = []
-        stack: list[tuple[Cotree, bool]] = [(self, False)]
-        while stack:
-            node, finished = stack.pop()
-            if node.kind == "leaf":
-                parts.append((node.vertex,))
-            elif not finished:
-                stack.append((node, True))
-                stack.extend((child, False) for child in reversed(node.children))
-            else:
-                mine = parts[-len(node.children):]
-                del parts[-len(node.children):]
-                if node.kind == "join":
-                    for a, part in enumerate(mine):
-                        for other in mine[a + 1:]:
-                            edges.extend(
-                                (u, v) if u < v else (v, u) for u in part for v in other
-                            )
-                parts.append(tuple(v for part in mine for v in part))
+
+        def node(kind: str, parts: list[tuple[int, ...]]) -> tuple[int, ...]:
+            if kind == "join":
+                for p, q in combinations(parts, 2):
+                    edges.extend((u, v) if u < v else (v, u) for u in p for v in q)
+            return tuple(v for part in parts for v in part)
+
+        if sorted(self.fold(lambda v: (v,), node)) != list(range(n)):
+            raise InputError("cotree leaves must be exactly 0..n-1")
         edges.sort()
         return tuple(edges)
 
     def to_expr(self) -> str:
-        if self.kind == "leaf":
-            return f"(leaf {self.vertex})"
-        inner = " ".join(child.to_expr() for child in self.children)
-        return f"({self.kind} {inner})"
+        return self.fold(
+            lambda v: f"(leaf {v})", lambda kind, inner: f"({kind} {' '.join(inner)})"
+        )
 
     @staticmethod
     def from_expr(text: str) -> "Cotree":
@@ -138,12 +156,22 @@ class Cotree:
 
 def cotree_build(g: Graph) -> Cotree | None:
     """Decompose by connectivity of the graph and of its complement;
-    returns None when the graph is not a cograph (an induced P4 survives)."""
+    returns None when the graph is not a cograph (an induced P4 survives).
 
-    def build(vs: tuple[int, ...]) -> Cotree | None:
+    Vertex sets are split on an explicit stack, parents first, into a list
+    of ("leaf", vertex) and (kind, child count) entries.  The last child
+    is split first, so the list read backwards is a post-order with the
+    children in order, and the tree is assembled from it on a stack."""
+    if g.n == 0:
+        raise InputError("cannot build a cotree for the empty graph")
+    splits: list[tuple[str, int]] = []
+    pending = [tuple(range(g.n))]
+    while pending:
         # vs is sorted, so its components come sorted by first vertex
+        vs = pending.pop()
         if len(vs) == 1:
-            return Cotree.leaf(vs[0])
+            splits.append(("leaf", vs[0]))
+            continue
         vset = set(vs)
         comps = components(vs, lambda x: g.neighbors(x) & vset)
         if len(comps) > 1:
@@ -153,19 +181,15 @@ def cotree_build(g: Graph) -> Cotree | None:
             if len(comps) == 1:
                 return None
             kind = "join"
-        children = []
-        for comp in comps:
-            child = build(comp)
-            if child is None:
-                return None
-            children.append(child)
-        return Cotree.node(kind, children)
-
-    if g.n == 0:
-        raise InputError("cannot build a cotree for the empty graph")
-    if g.n == 1:
-        return Cotree.leaf(0)
-    return build(tuple(range(g.n)))
+        splits.append((kind, len(comps)))
+        pending.extend(comps)
+    built: list[Cotree] = []
+    for kind, arg in reversed(splits):
+        if kind == "leaf":
+            built.append(Cotree.leaf(arg))
+        else:
+            built[-arg:] = [Cotree.node(kind, built[-arg:])]
+    return built[0]
 
 
 # A subtree's cheapest qualifying set as (weight, vertices), None when no
@@ -223,16 +247,13 @@ def _combine(kind: str, a: NodeSummary, b: NodeSummary) -> NodeSummary:
     )
 
 
-def _summarize(node: Cotree, weights: Sequence) -> NodeSummary:
-    if node.kind == "leaf":
-        v = node.vertex
-        return NodeSummary(
+def _summarize(tree: Cotree, weights: Sequence) -> NodeSummary:
+    return tree.fold(
+        lambda v: NodeSummary(
             gamma_m=(0, ()), gamma_t=None, w_min=(weights[v], (v,)), has_isolated=True
-        )
-    acc = _summarize(node.children[0], weights)
-    for child in node.children[1:]:
-        acc = _combine(node.kind, acc, _summarize(child, weights))
-    return acc
+        ),
+        lambda kind, parts: reduce(partial(_combine, kind), parts),
+    )
 
 
 def gamma_t_cograph(tree: Cotree, weights: Sequence[Fraction]) -> Solution:

@@ -24,7 +24,6 @@ from .core import (
     demand_checks,
     is_monitoring_set,
     max_demand,
-    meets,
     monitor_table,  # noqa: F401  unused here; edgebench's tracer hooks it
 )
 from .oracle import exists_independent_set
@@ -58,12 +57,18 @@ def _cheapest(
     pool: Iterable[tuple[int, ...]],
 ) -> tuple[int, tuple[int, ...]] | None:
     """(integer weight, set) of the first minimum-weight candidate of `pool`
-    that meets every (monitors, demand) check, or None when none does."""
+    that meets every (monitors, demand) check, or None when none does.
+    When some check has fewer monitors than its demand, no candidate can
+    meet it, and None comes back before the pool is drawn from."""
+    if any(len(mon) < c for mon, c in checks):
+        return None
     best: tuple[int, tuple[int, ...]] | None = None
     for chosen in pool:
         w = sum(cost[v] for v in chosen)
-        if (best is None or w < best[0]) and meets(checks, frozenset(chosen)):
-            best = w, chosen
+        if best is None or w < best[0]:
+            s = frozenset(chosen)
+            if all(len(mon & s) >= c for mon, c in checks):
+                best = w, chosen
     return best
 
 

@@ -334,13 +334,6 @@ def is_monitoring_set(inst: Instance, s: Iterable[int]) -> bool:
     return next(deficits(inst, s), None) is None
 
 
-def meets(
-    constraints: Iterable[tuple[frozenset[int], int]], s: frozenset[int]
-) -> bool:
-    """True iff s holds at least `need` members of each (candidates, need)."""
-    return all(len(cand & s) >= need for cand, need in constraints)
-
-
 def scaled_weights(weights: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:
     """Integer weights and the scale (the LCM of the denominators) with
     weights[v] == ints[v] / scale, so search loops add and compare ints."""

@@ -7,13 +7,19 @@ constraints.  A single branch-and-bound engine solves that form; the
 public wrappers just phrase their problem as constraints.
 
 Determinism: the search is a fixed function of its input, so golden
-values and witnesses are stable across runs.  Under positive weights the
-witness is the lexicographically smallest minimum-weight sorted vertex
-tuple.  With zero weights the value is still the minimum, but the search
-only adds candidates of constraints that are still unmet, so a zero-weight
-vertex no such constraint needs is never added, even where adding it would
-sort first: weights (0, 1, 0, 1) with the one constraint ({1, 3}, 2) give
-(1, 3), although (0, 1, 3) weighs the same.
+values and witnesses are stable across runs.  The search is a loop over
+an explicit stack, so its depth, one level per vertex taken or dropped,
+meets no recursion limit.  Each node pushes its exclude branch under its
+include branch, so the include branch is searched to the end first: the
+nodes come in the order of a depth-first recursion, each sees the
+incumbent that recursion would, and node counts and witnesses are the
+same.  Under positive weights the witness is the lexicographically
+smallest minimum-weight sorted vertex tuple.  With zero weights the value
+is still the minimum, but the search only adds candidates of constraints
+that are still unmet, so a zero-weight vertex no such constraint needs is
+never added, even where adding it would sort first: weights (0, 1, 0, 1)
+with the one constraint ({1, 3}, 2) give (1, 3), although (0, 1, 3) weighs
+the same.
 
 The one search that is not a cover is `exists_independent_set`.  An
 independent k-set exists iff a vertex cover of at most n - k vertices
@@ -148,8 +154,10 @@ def _cover(
     def members(mask: int) -> tuple[int, ...]:
         return tuple(v for i, v in enumerate(universe) if mask >> i & 1)
 
-    def recurse(chosen: int, free: int, w: int, unmet: list) -> None:
-        nonlocal nodes, best_w, best_mask
+    # the nodes still to visit; see the module docstring for their order
+    stack = [(0, (1 << len(universe)) - 1, 0, cons)]
+    while stack:
+        chosen, free, w, unmet = stack.pop()
         nodes += 1
         if limit is not None and nodes > limit:
             raise BudgetExceeded(f"node limit {limit} exhausted")
@@ -168,36 +176,36 @@ def _cover(
                 continue
             remaining = mask & free
             if remaining.bit_count() < residual:
-                return  # constraint can no longer be met on this branch
+                break  # constraint can no longer be met on this branch
             if bounded:
                 if residual == 1:
                     if not remaining & fits:
-                        return  # every remaining candidate costs too much
+                        break  # every remaining candidate costs too much
                 else:
                     total, left = 0, residual
                     for c, bit in order:
                         if bit & remaining:
                             total += c
                             left -= 1
-                            if total > slack:
-                                return  # cheapest completion beats the slack
-                            if not left:
+                            if total > slack or not left:
                                 break
+                    if total > slack:
+                        break  # cheapest completion beats the slack
             still.append(con)
             if residual > worst_need:
                 worst_need, worst_free = residual, remaining
-        if not still:
-            if (
+        else:  # no constraint cut this node
+            if still:
+                low = worst_free & -worst_free
+                stack.append((chosen, free ^ low, w, still))
+                w += ucost[low.bit_length() - 1]
+                stack.append((chosen | low, free ^ low, w, still))
+            elif (
                 best_w is None or w < best_w
                 or (w == best_w and members(chosen) < members(best_mask))
             ):
                 best_w, best_mask = w, chosen
-            return
-        low = worst_free & -worst_free
-        recurse(chosen | low, free ^ low, w + ucost[low.bit_length() - 1], still)
-        recurse(chosen, free ^ low, w, still)
 
-    recurse(0, (1 << len(universe)) - 1, 0, cons)
     if best_w is None:
         return Solution.infeasible()
     return Solution.of(members(best_mask), Fraction(best_w, scale))

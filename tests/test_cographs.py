@@ -1,6 +1,8 @@
 """Cotree construction and the union/join recursions."""
 
 import gc
+import inspect
+import sys
 
 import pytest
 from fractions import Fraction
@@ -26,6 +28,21 @@ import bruteforce as bf
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 K4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+SPINE_N = 3001
+
+
+@pytest.fixture(scope="module")
+def spine():
+    """A spine of 2,998 union nodes, each with one leaf, ending in a
+    triangle: nested 3,000 levels deep."""
+    a, b, c = SPINE_N - 3, SPINE_N - 2, SPINE_N - 1
+    tree = Cotree.node("join", [Cotree.leaf(b), Cotree.leaf(c)])
+    tree = Cotree.node("join", [Cotree.leaf(a), tree])
+    for v in reversed(range(a)):
+        tree = Cotree.node("union", [Cotree.leaf(v), tree])
+    return tree
 
 
 class TestCotreeBuild:
@@ -80,17 +97,11 @@ class TestRealize:
         finally:
             gc.enable()
 
-    def test_deep_cotree(self):
-        # a spine of 2,998 union nodes, each with one leaf, ending in a
-        # triangle: nested 3,000 levels deep
-        n = 3001
+    def test_deep_cotree(self, spine):
+        n = SPINE_N
         a, b, c = n - 3, n - 2, n - 1
-        tree = Cotree.node("join", [Cotree.leaf(b), Cotree.leaf(c)])
-        tree = Cotree.node("join", [Cotree.leaf(a), tree])
-        for v in reversed(range(a)):
-            tree = Cotree.node("union", [Cotree.leaf(v), tree])
-        assert tree.leaves() == tuple(range(n))
-        g = tree.realize(n)
+        assert spine.leaves() == tuple(range(n))
+        g = spine.realize(n)
         assert g.n == n and g.edges == ((a, b), (a, c), (b, c))
 
     @pytest.mark.parametrize("seed", range(8))
@@ -112,6 +123,44 @@ class TestRealize:
                     expect.append((u, v))
         assert tree.edges(n) == tuple(expect)
         assert tree.realize(n) == Graph.from_edges(n, expect)
+
+
+class TestDeepInputs:
+    """Walks deeper than the recursion limit: none may recurse per level."""
+
+    def test_spine_solves(self, spine):
+        n = SPINE_N
+        inst = Instance.make(spine.realize(n))
+        sol = solve_cograph(inst, spine)
+        assert sol.value == 3 and sol.vertices == (n - 3, n - 2, n - 1)
+        # the spine's isolated leaves have no neighbour to dominate them
+        assert not gamma_t_cograph(spine, [Fraction(1)] * n).feasible
+
+    def test_spine_to_expr(self, spine):
+        a = SPINE_N - 3
+        expect = (
+            "".join(f"(union (leaf {v}) " for v in range(a))
+            + f"(join (leaf {a}) (join (leaf {a + 1}) (leaf {a + 2})))"
+            + ")" * a
+        )
+        assert spine.to_expr() == expect
+
+    def test_cotree_build_needs_no_recursion(self):
+        # a threshold graph: vertex i joins every earlier vertex when i is
+        # odd, so its cotree alternates join and union n - 1 levels deep
+        n = 200
+        g = Graph.from_edges(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
+        expect = "(leaf 0)"
+        for v in range(1, n):
+            expect = f"({'join' if v % 2 else 'union'} {expect} (leaf {v}))"
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+        try:
+            tree = cotree_build(g)
+        finally:
+            sys.setrecursionlimit(old)
+        assert tree.to_expr() == expect
+        assert tree.edges(n) == g.edges
 
 
 class TestGammaTCograph:

@@ -14,11 +14,13 @@ from edgemon import (
     exact_gamma_m,
     fpt_monitoring_complete,
     gamma_bounds,
+    gen_block_graph,
     gen_complete,
     is_monitoring_set,
     minimum_weight_cover,
     ptas_complete,
     Solution,
+    solve_block,
     solve_complete_cbounded,
     solve_complete_uniform,
 )
@@ -189,6 +191,47 @@ class TestCBounded:
         monkeypatch.setattr(edgemon.complete, "_cheapest", lambda *args: (0, ()))
         with pytest.raises(RuntimeError, match="misses a demand"):
             solve_complete_cbounded(gen_complete(4, demand=1))
+
+
+class TestHopelessDemands:
+    """A demand above s - 2 in a clique of s vertices has too few monitors,
+    so the bounded searches answer infeasible without drawing a set."""
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        import edgemon.complete
+
+        drawn = []
+
+        def counting(items, size):
+            for chosen in combinations(items, size):
+                drawn.append(chosen)
+                yield chosen
+
+        monkeypatch.setattr(edgemon.complete, "combinations", counting)
+        return drawn
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda: solve_complete_cbounded(gen_complete(12, demand=11)),
+            lambda: solve_complete_cbounded(gen_complete(12, demand=11), force=3),
+            lambda: solve_complete_cbounded(single_hot_edge(12, 11)),
+            lambda: ptas_complete(
+                gen_complete(12, demand=(10, 11), seed=1), Fraction(1, 10)
+            ),
+            lambda: solve_block(gen_block_graph([3, 8], demand=(7, 8), seed=1)),
+        ],
+        ids=["cbounded", "forced", "one_edge", "ptas", "block"],
+    )
+    def test_no_candidate_is_drawn(self, drawn, solve):
+        assert not solve().feasible
+        assert drawn == []
+
+    def test_feasible_instances_still_draw(self, drawn):
+        assert solve_complete_cbounded(gen_complete(12, demand=10)).value == 12
+        assert solve_block(gen_block_graph([3, 8], demand=(0, 1), seed=1)).feasible
+        assert drawn
 
 
 class TestUniformRule:

@@ -1,6 +1,10 @@
 """Oracle module against independent subset enumeration."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
@@ -30,6 +34,7 @@ from edgemon import (
     minimum_weight_cover,
     solve_band,
 )
+from edgemon.cli import main
 
 import bruteforce as bf
 
@@ -428,3 +433,37 @@ class TestEngine:
             [Fraction(w) for w in (0, 1, 0, 1)], [(frozenset({1, 3}), 2)]
         )
         assert sol.vertices == (1, 3) and sol.value == 2
+
+
+TRIANGLES = 600
+N = 3 * TRIANGLES
+TRIANGLE_EDGES = [
+    e for v in range(0, N, 3) for e in ((v, v + 1), (v + 1, v + 2), (v, v + 2))
+]
+
+
+class TestDeepSearch:
+    """Disjoint triangles take every vertex, and the search goes one level
+    deeper per vertex it takes: 1,800 levels, past the recursion limit."""
+
+    def test_exact_gamma_m(self):
+        g = Graph.from_edges(N, TRIANGLE_EDGES)
+        sol = exact_gamma_m(Instance.make(g), SearchBudget(max_vertices=2000))
+        assert sol.value == N and sol.vertices == tuple(range(N))
+
+    def test_cli_oracle_answers_and_verifies(self, tmp_path, capsys):
+        path = tmp_path / "triangles.em"
+        lines = [f"p em {N} {N}"] + [f"e {u} {v} 1" for u, v in TRIANGLE_EDGES]
+        path.write_text("\n".join(lines) + "\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "edgemon.cli", "oracle", "--in", str(path)],
+            capture_output=True, text=True, check=False,
+            env=dict(os.environ, PYTHONPATH=src, EM_BUDGET_VERTICES="5000"),
+        )
+        assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
+        assert f"value {N}" in done.stdout.splitlines()
+        solution = tmp_path / "triangles.sol"
+        solution.write_text(done.stdout)
+        assert main(["verify", "--solution", str(solution), "--in", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["verified true"]
