@@ -13,17 +13,17 @@ cut vertex it shares with the blocks after it (`BlockCutTree.attach`);
 those vertices are the cut vertices.  Eliminating blocks in that order
 makes each a leaf when its turn comes, so the solver needs no walk of its
 own and no leaf search.  The graph's demand checks (`core.demand_checks`)
-are read once into one map by edge, and each block takes its own from it
-once; its candidate sets are listed once and serve both searches.  Apart
-from sorting blocks and members, and the clique searches, whose cost
-depends only on a block's size and demands, the elimination is linear in
-the size of the block-cut tree.
+are read once into one map by edge, and each block takes its own demands
+from it once into the level tables of `complete`'s clique search, which
+serve both of its searches.  Apart from sorting blocks and members, and
+the clique searches, whose cost depends only on a block's size and
+demands, the elimination is linear in the size of the block-cut tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, tee
+from itertools import combinations
 
 from .core import (
     Graph,
@@ -35,7 +35,7 @@ from .core import (
     is_monitoring_set,  # noqa: F401  unused here; edgebench's tracer hooks it
     monitor_table,  # noqa: F401  unused here; edgebench's tracer hooks it
 )
-from .complete import _cheapest, _pool
+from .complete import _CliqueLevels
 from .complete import solve_complete_cbounded  # noqa: F401  edgebench's tracer hooks it
 
 
@@ -122,19 +122,20 @@ def solve_block(inst: Instance) -> Solution:
 
     One pass over `demand_checks` serves every block: in a block graph
     the monitors of an edge are the rest of its block.  Blocks are settled
-    in the order of `block_cut_tree`, each by the bounded clique search of
+    in the order of `block_cut_tree`, each by the level search of
     `complete` over its own members.  A block with an `attach` vertex is a
     leaf of what is left: it is settled plain, then forced through that
-    vertex by keeping the candidate sets that hold it, and the vertex is
-    re-priced.  A block without one ends its component: it is settled plain,
-    and the component's witness is rebuilt from the recorded steps.
+    vertex (unless the plain witness holds it already) from the same level
+    tables, and the vertex is re-priced.  A block without one ends its
+    component: it is settled plain, and the component's witness is rebuilt
+    from the recorded steps.
     """
     tree = block_cut_tree(inst.graph)
     if tree.non_clique_blocks:
         raise InputError(
             f"not a block graph: blocks {list(tree.non_clique_blocks)} are not cliques"
         )
-    check_of = {e: (mon, c) for e, mon, c in demand_checks(inst)}
+    demand_of = {e: c for e, _, c in demand_checks(inst)}
     cost = list(inst.cost)
 
     total = 0
@@ -143,11 +144,13 @@ def solve_block(inst: Instance) -> Solution:
     steps: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
     for blk, cut in zip(tree.blocks, tree.attach):
         members = sorted(blk)
-        checks = [chk for e in combinations(members, 2) if (chk := check_of.get(e))]
-        cap = max((c for _, c in checks), default=0) + 2
-        # drawn lazily: a demand above len(members) - 2 draws no set at all
-        pool, again = tee(_pool(members, cap))
-        plain = _cheapest(checks, cost, pool)
+        demands = (
+            (i, k, c)
+            for (i, u), (k, v) in combinations(enumerate(members), 2)
+            if (c := demand_of.get((u, v)))
+        )
+        levels = _CliqueLevels(members, demands, cost)
+        plain = levels.best()
         if plain is None:
             return Solution.infeasible()
         total += plain[0]
@@ -158,7 +161,9 @@ def solve_block(inst: Instance) -> Solution:
             witness |= comp_witness
             steps.clear()
             continue
-        forced = _cheapest(checks, cost, (vs for vs in again if cut in vs))
+        # a plain witness that holds the cut vertex comes first among the
+        # sets that hold it too
+        forced = plain if cut in plain[1] else levels.best(force=cut)
         # forcing a vertex can neither lose feasibility nor beat the optimum
         if forced is None or forced[0] < plain[0]:
             raise RuntimeError(

@@ -16,11 +16,15 @@ limit.  `Cotree._preorder` lists the nodes from an explicit stack, and
 `Cotree.fold` reads that list backwards as a post-order that hands each
 node its children's values left to right; the edges, the expression text
 and the summaries are folds, and the leaves are read off the same list.
-`cotree_build` splits vertex sets on an explicit stack and assembles the
-tree children first, keeping each split's components in order.  So the
-values, the order they are combined in, and every tree and text are those
-of the plain recursion.  Only `Cotree.from_expr` still recurses, once per
-nesting level.
+The edges and the certificate check (`Cotree.realizes`) read each
+subtree's leaves as a range of one left-to-right leaf order, so their walk
+takes time linear in the vertices and the edges; `edges` then sorts its
+pairs, and the check lists no edge and sorts nothing.  `cotree_build`
+splits vertex sets on an explicit stack and assembles the tree children
+first, keeping each split's components in order.  So the values, the
+order they are combined in, and every tree and text are those of the
+plain recursion.  Only `Cotree.from_expr` still recurses, once per nesting
+level.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .core import Graph, InputError, Instance, Solution, certify, components
 from .core import is_monitoring_set  # noqa: F401  unused; edgebench's tracer hooks it
@@ -92,25 +96,59 @@ class Cotree:
                 values.append(leaf(tree.vertex))
         return values[0]
 
+    def _links(self, n: int) -> Iterator[tuple[list[int], list[int]]]:
+        """For each join and each pair of its children, in order, the two
+        children's leaves: the vertex sets the join links completely.
+
+        One fold lists the leaves left to right, and each subtree's value
+        is the (start, stop) range of its leaves in that list, so no leaf
+        is copied at its ancestors and the walk is linear in the size of
+        the tree; each pair's slices cost no more than the pairs of
+        vertices it links.  Raises InputError unless the leaves are exactly
+        0..n-1, so no pair of vertices is linked twice."""
+        order: list[int] = []
+        joins: list[list[tuple[int, int]]] = []
+
+        def leaf(v: int) -> tuple[int, int]:
+            order.append(v)
+            return len(order) - 1, len(order)
+
+        def node(kind: str, parts: list[tuple[int, int]]) -> tuple[int, int]:
+            if kind == "join":
+                joins.append(parts)
+            return parts[0][0], parts[-1][1]
+
+        self.fold(leaf, node)
+        if len(order) != n or set(order) != set(range(n)):
+            raise InputError("cotree leaves must be exactly 0..n-1")
+        for parts in joins:
+            for (a, b), (c, d) in combinations(parts, 2):
+                yield order[a:b], order[c:d]
+
     def edges(self, n: int) -> tuple[tuple[int, int], ...]:
         """The edges of `realize(n)`, as its sorted tuple of normalized
-        pairs, without building the graph.
-
-        A fold whose values are the subtrees' leaf tuples: a join links
-        every pair of its children's tuples.  The root's tuple must then
-        be 0..n-1, so leaves are distinct and no pair is linked twice."""
-        edges: list[tuple[int, int]] = []
-
-        def node(kind: str, parts: list[tuple[int, ...]]) -> tuple[int, ...]:
-            if kind == "join":
-                for p, q in combinations(parts, 2):
-                    edges.extend((u, v) if u < v else (v, u) for u in p for v in q)
-            return tuple(v for part in parts for v in part)
-
-        if sorted(self.fold(lambda v: (v,), node)) != list(range(n)):
-            raise InputError("cotree leaves must be exactly 0..n-1")
+        pairs, without building the graph: the pairs of `_links`."""
+        edges = [
+            (u, v) if u < v else (v, u)
+            for p, q in self._links(n)
+            for u in p
+            for v in q
+        ]
         edges.sort()
         return tuple(edges)
+
+    def realizes(self, g: Graph) -> bool:
+        """Whether this tree describes g, checked without listing edges:
+        every pair a join links is an edge of g, and they number g.m.
+        The leaves must be exactly 0..g.n-1 (InputError otherwise), so the
+        linked pairs are distinct and are then exactly the edges of g."""
+        adj = g.adjacency
+        pairs = 0
+        for p, q in self._links(g.n):
+            pairs += len(p) * len(q)
+            if pairs > g.m or not all(adj[u].issuperset(q) for u in p):
+                return False
+        return pairs == g.m
 
     def to_expr(self) -> str:
         return self.fold(
@@ -274,7 +312,7 @@ def solve_cograph(inst: Instance, tree: Cotree | None = None) -> Solution:
         tree = cotree_build(inst.graph)
         if tree is None:
             raise InputError("graph is not a cograph")
-    if tree.edges(inst.graph.n) != inst.graph.edges:
+    if not tree.realizes(inst.graph):
         raise InputError("cotree does not realize the instance graph")
     pick = _summarize(tree, inst.cost).gamma_m
     if pick is None:

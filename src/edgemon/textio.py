@@ -11,7 +11,9 @@ Ids are 0-based.  Parsing takes time linear in the file size and reports
 the offending line number; emission is canonical (comments, then p, v, e,
 i, t with sorted ids), so a parsed canonical file re-emits byte-identically.
 Each distinct weight token is parsed once per file and its `Fraction`
-reused (files repeat a few weights over many vertices).
+reused (files repeat a few weights over many vertices), and so is each
+distinct vertex id or demand token of the `v` and `e` lines (each id
+recurs on every edge at its vertex, and demands take a few values).
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ def parse_instance_text(text: str) -> InstanceDocument:
     comments: list[str] = []
     weights: dict[int, Fraction] = {}
     parsed_weights: dict[str, Fraction] = {}  # weight token -> its value
+    ints: dict[str, int] = {}  # id or demand token -> its value
     demand: dict[Edge, int] = {}
     interval_rows: dict[int, tuple[int, int]] = {}
     cotree_text: str | None = None
@@ -79,11 +82,11 @@ def parse_instance_text(text: str) -> InstanceDocument:
             if len(parts) != 4:
                 raise ParseError(line_no, "expected 'e <u> <v> <c>'")
             try:
-                u, v, c = int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError:  # name the first bad token, as _int does
-                u = _int(parts[1], line_no, "vertex id")
-                v = _int(parts[2], line_no, "vertex id")
-                c = _int(parts[3], line_no, "demand")
+                u, v, c = ints[parts[1]], ints[parts[2]], ints[parts[3]]
+            except KeyError:  # a new token: convert each, naming the first bad one
+                u = ints[parts[1]] = _int(parts[1], line_no, "vertex id")
+                v = ints[parts[2]] = _int(parts[2], line_no, "vertex id")
+                c = ints[parts[3]] = _int(parts[3], line_no, "demand")
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(line_no, f"edge ({u}, {v}) out of range")
             if u == v:
@@ -108,7 +111,8 @@ def parse_instance_text(text: str) -> InstanceDocument:
         elif tag == "v":
             if len(parts) != 3:
                 raise ParseError(line_no, "expected 'v <id> <weight>'")
-            vid = _int(parts[1], line_no, "vertex id")
+            # a vertex has one v line, so its id is new here: kept for the e lines
+            vid = ints[parts[1]] = _int(parts[1], line_no, "vertex id")
             if not 0 <= vid < n:
                 raise ParseError(line_no, f"vertex id {vid} out of range")
             if vid in weights:

@@ -81,3 +81,35 @@ def reversed_ids(inst: Instance) -> Instance:
     g = Graph.from_edges(n, flip.values())
     demand = {flip[e]: c for e, c in zip(inst.graph.edges, inst.demands)}
     return Instance.make(g, demand=demand, weight=inst.weights[::-1])
+
+
+class PoolLevels:
+    """The enumerator that the clique level search of `edgemon.complete`
+    replaced, kept as its reference behind the same interface: the sets
+    of at most C+2 members (and at most `cap`) in order of size, then
+    lexicographic, each checked when it is lighter than the best so far,
+    so the first lightest set that meets every demand wins.  In a clique
+    every member off an edge monitors it.  `demands` holds (i, k, c) by
+    position in the sorted `members`; `force` is a member."""
+
+    def __init__(self, members, demands, cost):
+        self.members = list(members)
+        self.demands = [(self.members[i], self.members[k], c) for i, k, c in demands]
+        self.cost = cost
+
+    def best(self, force=None, cap=None):
+        top = max((c for _, _, c in self.demands), default=0) + 2
+        if cap is not None:
+            top = min(top, cap)
+        best = None
+        for size in range(min(top, len(self.members)) + 1):
+            for chosen in combinations(self.members, size):
+                if force is not None and force not in chosen:
+                    continue
+                w = sum(self.cost[v] for v in chosen)
+                if best is not None and w >= best[0]:
+                    continue
+                s = set(chosen)
+                if all(len(s - {u, v}) >= c for u, v, c in self.demands):
+                    best = w, chosen
+        return best

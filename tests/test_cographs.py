@@ -125,6 +125,35 @@ class TestRealize:
         assert tree.realize(n) == Graph.from_edges(n, expect)
 
 
+class TestRealizes:
+    """`Cotree.realizes(g)` walks the joins: every pair a join links is an
+    edge of g, and they number g.m."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_exactly_its_own_graph(self, seed):
+        n = 4 + 3 * seed
+        inst, tree = gen_cograph(n, seed=seed)
+        g = inst.graph
+        assert tree.realizes(g)
+        absent = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+        variants = [g.edges[1:]] if g.m else []
+        if absent:
+            variants.append(g.edges + tuple(absent[:1]))
+            if g.m:
+                variants.append(g.edges[1:] + tuple(absent[:1]))  # one pair off
+        assert variants
+        for edges in variants:
+            assert not tree.realizes(Graph.from_edges(n, edges))
+
+    def test_spine(self, spine):
+        n = SPINE_N
+        g = spine.realize(n)
+        assert spine.realizes(g)
+        assert not spine.realizes(Graph.from_edges(n, g.edges[:2]))
+        with pytest.raises(InputError, match="leaves must be exactly 0..n-1"):
+            spine.realizes(Graph.from_edges(n + 1, g.edges))
+
+
 class TestDeepInputs:
     """Walks deeper than the recursion limit: none may recurse per level."""
 
@@ -218,6 +247,19 @@ class TestSolveCograph:
         tree = Cotree.node("union", [Cotree.leaf(v) for v in range(4)])
         with pytest.raises(InputError):
             solve_cograph(Instance.make(K4, demand=1), tree)
+
+    def test_wrong_leaves_rejected(self):
+        tree = Cotree.node("join", [Cotree.leaf(0), Cotree.leaf(0), Cotree.leaf(2)])
+        with pytest.raises(InputError, match="leaves must be exactly 0..n-1"):
+            solve_cograph(Instance.make(Graph.from_edges(3, [(0, 2), (1, 2)])), tree)
+
+    def test_a_dense_tree_for_a_sparse_graph_is_refused_early(self):
+        """A join of 2,000 leaves claims 1,999,000 edges: the count passes
+        the graph's after the first join pair, so the check stops there."""
+        tree = Cotree.node("join", [Cotree.leaf(v) for v in range(2000)])
+        edges = [(0, v) for v in range(1, 2000)]
+        with pytest.raises(InputError, match="does not realize"):
+            solve_cograph(Instance.make(Graph.from_edges(2000, edges)), tree)
 
     def test_p4_without_tree_rejected(self):
         with pytest.raises(InputError):

@@ -6,12 +6,17 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil
 
+import edgemon.blocks
+import edgemon.complete
 from edgemon import (
+    BudgetExceeded,
     Graph,
     InputError,
     Instance,
+    InstanceDocument,
     SplitMix64,
     exact_gamma_m,
+    format_instance_text,
     fpt_monitoring_complete,
     gamma_bounds,
     gen_block_graph,
@@ -24,6 +29,9 @@ from edgemon import (
     solve_complete_cbounded,
     solve_complete_uniform,
 )
+from edgemon.cli import main
+
+import bruteforce as bf
 
 
 
@@ -47,6 +55,18 @@ def first_cheapest(inst: Instance, pool) -> Solution:
         if (best is None or w < best[0]) and is_monitoring_set(inst, chosen):
             best = w, chosen
     return Solution.infeasible() if best is None else Solution.of(best[1], best[0])
+
+
+def search_nodes(monkeypatch, solve):
+    """(nodes, result) of `solve`, where nodes is the least clique-search
+    node limit it answers under: the nodes of its largest level search."""
+    nodes = 0
+    while True:
+        monkeypatch.setattr(edgemon.complete, "NODE_LIMIT", nodes)
+        try:
+            return nodes, solve()
+        except BudgetExceeded:
+            nodes += 1
 
 
 def sets_up_to(n: int, cap: int):
@@ -186,9 +206,9 @@ class TestCBounded:
         assert len(calls) == 5
 
     def test_a_wrong_witness_is_refused(self, monkeypatch):
-        import edgemon.complete
-
-        monkeypatch.setattr(edgemon.complete, "_cheapest", lambda *args: (0, ()))
+        monkeypatch.setattr(
+            edgemon.complete._CliqueLevels, "best", lambda self, *args: (0, ())
+        )
         with pytest.raises(RuntimeError, match="misses a demand"):
             solve_complete_cbounded(gen_complete(4, demand=1))
 
@@ -228,10 +248,33 @@ class TestHopelessDemands:
         assert not solve().feasible
         assert drawn == []
 
-    def test_feasible_instances_still_draw(self, drawn):
-        assert solve_complete_cbounded(gen_complete(12, demand=10)).value == 12
-        assert solve_block(gen_block_graph([3, 8], demand=(0, 1), seed=1)).feasible
-        assert drawn
+    def test_feasible_instances_still_draw(self, monkeypatch):
+        nodes, sol = search_nodes(
+            monkeypatch, lambda: solve_complete_cbounded(gen_complete(12, demand=10))
+        )
+        assert sol.value == 12 and nodes > 0
+        nodes, sol = search_nodes(
+            monkeypatch,
+            lambda: solve_block(gen_block_graph([3, 8], demand=(0, 1), seed=1)),
+        )
+        assert sol.feasible and nodes > 0
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda: solve_complete_cbounded(gen_complete(12, demand=11)),
+            lambda: solve_complete_cbounded(gen_complete(12, demand=11), force=3),
+            lambda: solve_complete_cbounded(single_hot_edge(12, 11)),
+            lambda: ptas_complete(
+                gen_complete(12, demand=(10, 11), seed=1), Fraction(1, 10)
+            ),
+            lambda: solve_block(gen_block_graph([3, 8], demand=(7, 8), seed=1)),
+        ],
+        ids=["cbounded", "forced", "one_edge", "ptas", "block"],
+    )
+    def test_no_node_is_searched(self, monkeypatch, solve):
+        nodes, sol = search_nodes(monkeypatch, solve)
+        assert not sol.feasible and nodes == 0
 
 
 class TestUniformRule:
@@ -373,3 +416,90 @@ class TestPtasComplete:
             assert sol.value <= (1 + eps) * ref.value
             assert is_monitoring_set(inst, sol.vertices)
             assert inst.weight_of(sol.vertices) == sol.value
+
+
+SPECS = [1, 2, (0, 1), (0, 2), (1, 3), (0, 3)]
+
+
+def enumerated(monkeypatch, solve):
+    """`solve` run with the old enumerator in place of the level search."""
+    with monkeypatch.context() as m:
+        m.setattr(edgemon.complete, "_CliqueLevels", bf.PoolLevels)
+        m.setattr(edgemon.blocks, "_CliqueLevels", bf.PoolLevels)
+        return solve()
+
+
+def sweep_instance(seed: int) -> Instance:
+    """K_n for n <= 9 under one of six demand specs, weighted (0..3 in
+    halves) on three seeds in four."""
+    rng = SplitMix64(seed + 9000)
+    n = 1 + rng.below(9)
+    inst = gen_complete(n, demand=SPECS[seed % 6], seed=seed)
+    if seed % 4:
+        weights = tuple(Fraction(rng.below(7), 2) for _ in range(n))
+        inst = Instance(inst.graph, inst.demands, weights)
+    return inst
+
+
+class TestLevelsMatchTheEnumerator:
+    """The level search gives the `Solution`s, witnesses included, of the
+    enumerator it replaced (`bruteforce.PoolLevels`)."""
+
+    @pytest.mark.parametrize("chunk", range(8))
+    def test_complete_plain_and_forced(self, monkeypatch, chunk):
+        for seed in range(50 * chunk, 50 * chunk + 50):
+            inst = sweep_instance(seed)
+            for force in (None, *range(inst.graph.n)):
+                solve = lambda: solve_complete_cbounded(inst, force)
+                assert solve() == enumerated(monkeypatch, solve)
+
+    @pytest.mark.parametrize("chunk", range(2))
+    def test_ptas_at_epsilon_one_and_fpt(self, monkeypatch, chunk):
+        for seed in range(200 * chunk, 200 * chunk + 200):
+            inst = sweep_instance(seed)
+            solve = lambda: (
+                ptas_complete(inst, 1),
+                [fpt_monitoring_complete(inst, k) for k in range(inst.graph.n + 2)],
+            )
+            assert solve() == enumerated(monkeypatch, solve)
+
+    @pytest.mark.parametrize("chunk", range(6))
+    def test_block_graphs(self, monkeypatch, chunk):
+        """Blocks of 2 to 7 vertices, demands up to 0..4."""
+        for seed in range(50 * chunk, 50 * chunk + 50):
+            rng = SplitMix64(seed + 777)
+            sizes = [2 + rng.below(6) for _ in range(1 + rng.below(6))]
+            hi = rng.below(5)
+            weight = (1, 4, 1) if seed % 3 else (0, 3, 2)
+            inst = gen_block_graph(
+                sizes, demand=(rng.below(hi + 1), hi), weight=weight, seed=seed
+            )
+            solve = lambda: solve_block(inst)
+            assert solve() == enumerated(monkeypatch, solve)
+
+
+class TestNodeLimit:
+    """Independent k-set is W[1]-hard, so the level search is bounded by
+    NODE_LIMIT search nodes and refuses past it."""
+
+    INST = gen_complete(40, demand=(0, 2), weight=(1, 4, 1), seed=3)
+
+    def test_the_search_refuses_past_its_node_limit(self, monkeypatch):
+        nodes, sol = search_nodes(monkeypatch, lambda: solve_complete_cbounded(self.INST))
+        assert sol.feasible and nodes > 1
+        monkeypatch.setattr(edgemon.complete, "NODE_LIMIT", nodes - 1)
+        with pytest.raises(BudgetExceeded, match=f"node limit {nodes - 1} exhausted"):
+            solve_complete_cbounded(self.INST)
+
+    @pytest.mark.parametrize("klass", [[], ["--class", "complete"], ["--class", "block"]])
+    def test_cli_solve_exits_3_without_a_traceback(
+        self, monkeypatch, capsys, tmp_path, klass
+    ):
+        path = tmp_path / "k40.em"
+        path.write_text(format_instance_text(InstanceDocument(self.INST)))
+        monkeypatch.setattr(edgemon.complete, "NODE_LIMIT", 1)
+        code = main(["solve", *klass, "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "node limit 1 exhausted" in captured.err
+        assert "Traceback" not in captured.err

@@ -140,6 +140,13 @@ class TestParse:
                 'line 1: cotree leaves must be exactly 0..n-1',
             ),
             ('p em 2 1\ne 0 1 1\ne 1 0 1\n', 'line 3: duplicate edge (0, 1)'),
+            # each token converted once: the checks still read the values
+            # of tokens seen on earlier lines
+            ('p em 3 2\ne 0 1 1\ne 1 2 x\n', "line 3: bad demand 'x'"),
+            ('p em 3 2\ne 0 1 1\ne x 1 1\n', "line 3: bad vertex id 'x'"),
+            ('p em 2 2\ne 0 1 2\ne 0 2 1\n', 'line 3: edge (0, 2) out of range'),
+            ('p em 2 2\nv 1 1\ne 0 1 1\ne 1 1 0\n', 'line 4: loop edge at 1'),
+            ('p em 3 2\ne 0 1 -1\n', 'line 2: demands must be non-negative'),
         ],
     )
     def test_error_messages(self, text, message):
