@@ -75,6 +75,27 @@ the reverse-delete set is optimal, the last prefix of S* weighs exactly the
 limit.  So `_state_bound` stays an upper bound, and the collapse check and
 `certify` see the same optimum as without the prune.
 
+The same test also charges what a state must still pay.  From a family of
+demanded edges whose monitor sets are pairwise disjoint, `_completion_bound`
+gives after[h]: the c(e) cheapest monitors of each family edge that starts
+after the vertex of right rank h - 1 ends.  A state takes v only when its
+weight, v's and after[(mask | bit_v).bit_length()] together stay within the
+limit.  This too keeps S*'s prefix:
+
+- trimming clears the lowest bit, so the highest bit of a key is x, the
+  latest-ending chosen bag vertex, and every vertex of the prefix ends by
+  x's end (chosen bag vertices by rank, forgotten ones before the bag);
+- every monitor of an edge that starts after x ends also ends after x, so
+  no prefix vertex monitors it, and S*'s later vertices pay for its demand;
+  the family's monitor sets are disjoint, so they pay at least after[h];
+- the test stays strict, so ties survive;
+- a state's bound only falls as the sweep goes on, because its x only
+  ends later, so testing it only when its weight rises, at a take, loses
+  nothing.
+
+With the limit at the weight of all vertices nothing is pruned, since
+after[h] counts only vertices outside the state.
+
 The reverse delete starts from all vertices and visits them by the key
 `(-cost, number of demanded edges monitored, id)`, dropping a vertex when
 every edge it monitors keeps its demand.  Among equal weights the vertex
@@ -95,8 +116,11 @@ their edge).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from math import comb
+from operator import itemgetter
 from typing import Iterable
 
 from .core import (
@@ -104,6 +128,7 @@ from .core import (
     InputError,
     Instance,
     Solution,
+    _monitor_set,
     certify,
     demand_checks,
     is_monitoring_set,  # noqa: F401  unused here; edgebench's tracer hooks it
@@ -141,27 +166,42 @@ class IntervalRealization:
         """
         if self.endpoints_distinct():
             return self
-        tagged = []
-        for v, (a, b) in enumerate(self.intervals):
-            tagged.append((a, 0, v))
-            tagged.append((b, 1, v))
-        tagged.sort()
         pos: dict[tuple[int, int], int] = {}
-        for rank, (_, kind, v) in enumerate(tagged):
+        for rank, (_, kind, v) in enumerate(self._sweep()):
             pos[(v, kind)] = rank
         return IntervalRealization(
             tuple((pos[(v, 0)], pos[(v, 1)]) for v in range(self.n))
         )
 
+    def _sweep(self) -> list[tuple[int, int, int]]:
+        """(coordinate, kind, vertex) for all 2n endpoints in sorted order,
+        kind 0 for a left end and 1 for a right one, so at equal
+        coordinates left ends come first and intervals sharing a point
+        meet."""
+        return sorted(
+            (p, kind, v) for v, ab in enumerate(self.intervals) for kind, p in enumerate(ab)
+        )
+
     def intersection_graph(self) -> Graph:
-        edges = [
-            (i, j)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.intervals[i][0] <= self.intervals[j][1]
-            and self.intervals[j][0] <= self.intervals[i][1]
-        ]
-        return Graph.from_edges(self.n, edges)
+        """A vertex meets exactly the intervals open when the sweep reaches
+        its left end.  Each edge is met once and filed under its smaller
+        end, so the edges come out distinct, normalized and sorted in
+        O(n log n + m log n)."""
+        later: list[list[int]] = [[] for _ in range(self.n)]
+        open_: set[int] = set()
+        for _, right, v in self._sweep():
+            if right:
+                open_.remove(v)
+                continue
+            for u in open_:
+                if u < v:
+                    later[u].append(v)
+                else:
+                    later[v].append(u)
+            open_.add(v)
+        return Graph._build(
+            self.n, [(u, w) for u, ws in enumerate(later) for w in sorted(ws)]
+        )
 
     def right_rank(self) -> dict[int, int]:
         """Position of each vertex in the order of right endpoints."""
@@ -196,20 +236,15 @@ def nice_path_decomposition(real: IntervalRealization) -> NicePathDecomposition:
     """Sweep the sorted endpoints: a left endpoint introduces its vertex, a
     right endpoint forgets it.  Duplicate endpoints are repaired first."""
     real = real.normalize()
-    tagged = []
-    for v, (a, b) in enumerate(real.intervals):
-        tagged.append((a, "introduce", v))
-        tagged.append((b, "forget", v))
-    tagged.sort()
     events: list[tuple[str, int]] = []
     bags: list[frozenset[int]] = [frozenset()]
     current: set[int] = set()
-    for _, kind, v in tagged:
-        if kind == "introduce":
-            current.add(v)
-        else:
+    for _, right, v in real._sweep():
+        if right:
             current.remove(v)
-        events.append((kind, v))
+        else:
+            current.add(v)
+        events.append(("forget" if right else "introduce", v))
         bags.append(frozenset(current))
     return NicePathDecomposition(
         realization=real,
@@ -286,6 +321,7 @@ def representant(
     return tuple(sorted(kept))
 
 
+@cache
 def _state_bound(k: int, cmax: int) -> int:
     """Number of keys a bag of k vertices admits: p <= C+2 chosen bag
     vertices, and a descending tuple of at most min(C, C+2-p) reaches, each
@@ -312,7 +348,11 @@ def _forget_rule(
     (the u's whose need is top)."""
     top, forbid = 0, 0
     for bu, t, c in checks:
-        need = c - sum(r > t for r in reaches)
+        need = c
+        for r in reaches:
+            if r <= t:
+                break
+            need -= 1
         if need > top:
             top, forbid = need, bu
         elif need == top > 0:
@@ -335,18 +375,58 @@ def _incumbent(inst: Instance) -> int | None:
     for _, mon, c in demand_checks(inst):
         if len(mon) < c:
             return None
+        i = len(slack)
         for w in mon:
-            watched[w].append(len(slack))
+            watched[w].append(i)
         slack.append(len(mon) - c)
     cost = inst.cost
     left = sum(cost)
+    tight = {i for i, s in enumerate(slack) if not s}
     order = sorted(range(inst.graph.n), key=lambda v: (-cost[v], len(watched[v]), v))
     for v in order:
-        if all(slack[i] for i in watched[v]):
+        if tight.isdisjoint(watched[v]):
             for i in watched[v]:
                 slack[i] -= 1
+                if not slack[i]:
+                    tight.add(i)
             left -= cost[v]
     return left
+
+
+def _completion_bound(inst: Instance, real: IntervalRealization) -> list[int]:
+    """after[h]: a lower bound, in integer weight, on the vertices that a
+    monitoring set holds among those ending after the vertex of right rank
+    h - 1 (after[0] counts every vertex).
+
+    Demanded edges are visited by descending start max(a_u, a_v), and one
+    is picked when none of its monitors is a monitor of an edge picked
+    before, so the picked monitor sets are pairwise disjoint.  A picked edge
+    is worth its c(e) cheapest monitors.  Every monitor of an edge ends
+    after the edge starts, so after[h] sums the picked edges that start
+    after the vertex of right rank h - 1 ends."""
+    g, ivs, cost = inst.graph, real.intervals, inst.cost
+    demanded = sorted(
+        (
+            (max(ivs[u][0], ivs[v][0]), u, v, c)
+            for (u, v), c in zip(g.edges, inst.demands)
+            if c
+        ),
+        key=itemgetter(0),
+        reverse=True,
+    )
+    used: set[int] = set()
+    starts: list[int] = []
+    tail = [0]  # tail[i]: worth of the i picked edges that start last
+    for start, u, v, c in demanded:
+        # made here, in start order, so the monitor sets of all edges are
+        # never held at once, as sorting the `demand_checks` stream would
+        mon = _monitor_set(g, u, v)
+        if used.isdisjoint(mon):
+            used |= mon
+            starts.append(-start)
+            tail.append(tail[-1] + sum(sorted(cost[w] for w in mon)[:c]))
+    ends = sorted(b for _, b in ivs)
+    return [tail[-1]] + [tail[bisect_left(starts, -b)] for b in ends]
 
 
 def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
@@ -356,7 +436,8 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
     keep a key only when it meets every demand on edges between the
     forgotten vertex and the current bag; introduce steps branch on taking
     the new vertex, adding its bit to the chosen-vertex mask, unless that
-    makes the state heavier than the `_incumbent` bound.  The witness is
+    weight plus the `_completion_bound` of the new mask exceeds the
+    `_incumbent` bound.  The witness is
     the mask of the one state left after the last forget.
     """
     decomp = nice_path_decomposition(real)
@@ -367,8 +448,11 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
     limit = _incumbent(inst)
     if limit is None:
         return Solution.infeasible()
+    after = _completion_bound(inst, real)
     cmax = max_demand(inst)
     cap = cmax + 2
+    # how many reaches a key keeps next to s chosen bag vertices, for each s
+    widths = [min(cmax, cap - s) for s in range(cap + 1)]
     demand = inst.demand_map()
     bit = {v: 1 << r for v, r in real.right_rank().items()}
 
@@ -397,10 +481,7 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
                 # then depends on how many chosen bag vertices remain
                 if full >= 2:
                     shifted = (full,) + shifted
-                took = [
-                    nxt.setdefault(shifted[: min(cmax, cap - base)], {})
-                    for base in range(cap)
-                ]
+                took = [nxt.setdefault(shifted[:w], {}) for w in widths[:cap]]
                 for mask, value in group.items():
                     rest = mask & keep
                     base = rest.bit_count()
@@ -416,14 +497,13 @@ def solve_interval(inst: Instance, real: IntervalRealization) -> Solution:
             room = limit - cv  # heaviest state that may still take v
             nxt = {reaches: dict(group) for reaches, group in table.items()}
             for reaches, group in table.items():
-                took = [
-                    nxt.setdefault(reaches[: min(cmax, cap - size)], {})
-                    for size in range(cap + 1)
-                ]
+                took = [nxt.setdefault(reaches[:w], {}) for w in widths]
                 for mask, (weight, chosen) in group.items():
-                    if weight > room:
-                        continue
                     mask |= bv
+                    # the key's highest bit is its latest-ending chosen
+                    # vertex; what starts after it ends is still to pay
+                    if weight + after[mask.bit_length()] > room:
+                        continue
                     size = mask.bit_count()
                     if size > cap:
                         mask &= mask - 1

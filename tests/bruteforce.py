@@ -72,6 +72,19 @@ def brute_alpha(g: Graph) -> int:
     return best
 
 
+def interval_graph(intervals) -> Graph:
+    """The pair rule: closed intervals i and j meet exactly when
+    a_i <= b_j and a_j <= b_i."""
+    return Graph.from_edges(
+        len(intervals),
+        [
+            (i, j)
+            for i, j in combinations(range(len(intervals)), 2)
+            if intervals[i][0] <= intervals[j][1] and intervals[j][0] <= intervals[i][1]
+        ],
+    )
+
+
 def reversed_ids(inst: Instance) -> Instance:
     """The same instance with vertex v renamed n - 1 - v: a depth-first
     search over it starts at the other end, so a solver meets the blocks

@@ -16,6 +16,7 @@ from edgemon import (
     feasibility_precheck,
     gen_interval,
     is_monitoring_set,
+    minimum_weight_cover,
     monitors,
     nice_path_decomposition,
     representant,
@@ -108,6 +109,26 @@ class TestDecomposition:
     def test_random_realizations_validate(self, seed):
         _, real = gen_interval(9, seed=seed)
         check_nice_path_decomposition(nice_path_decomposition(real))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_intersection_graph_matches_pair_rule(self, seed):
+        # the endpoint sweep against every pair, on this class's realizations
+        # and on coarsened copies whose endpoints coincide
+        for n, lengths, s in (
+            (10, "random", 3), (9, "random", seed), (10, "random", seed + 100),
+            (12, "unit", seed),
+        ):
+            inst, real = gen_interval(n, lengths=lengths, seed=s)
+            assert inst.graph == bf.interval_graph(real.intervals)
+            for step in (2, 3, 5):
+                coarse = tuple((a // step, b // step) for a, b in real.intervals)
+                got = IntervalRealization(coarse).intersection_graph()
+                assert got == bf.interval_graph(coarse)
+
+    def test_intersection_graph_of_touching_and_point_intervals(self):
+        ivs = ((0, 2), (2, 4), (2, 2), (5, 5), (5, 9), (4, 4))
+        assert IntervalRealization(ivs).intersection_graph() == bf.interval_graph(ivs)
+        assert IntervalRealization(()).intersection_graph().n == 0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_bag_neighbors_closed_under_later_endings(self, seed):
@@ -294,6 +315,53 @@ class TestSolveInterval:
             lambda inst: None if incumbent(inst) is None else sum(inst.cost),
         )
         assert [solve_interval(*case) for case in cases] == pruned
+
+    @pytest.mark.parametrize("lengths", ["random", "unit"])
+    @pytest.mark.parametrize("demand", [1, (0, 2), (0, 3)], ids=["d1", "d0-2", "d0-3"])
+    def test_completion_bound_is_exact(self, monkeypatch, lengths, demand):
+        # the same Solution with the completion bound all zeros, on the
+        # cases of test_incumbent_prune_is_exact
+        cases = [
+            gen_interval(n, lengths=lengths, demand=demand, weight=weight, seed=seed)
+            for n, weight, seed in product(range(2, 31, 4), [(0, 3, 1), 1], range(2))
+        ]
+        bounded = [solve_interval(*case) for case in cases]
+        assert any(
+            any(intervals._completion_bound(inst, real)[1:])
+            for (inst, real), sol in zip(cases, bounded)
+            if sol.feasible
+        )
+        monkeypatch.setattr(
+            intervals, "_completion_bound", lambda inst, real: [0] * (real.n + 1)
+        )
+        assert [solve_interval(*case) for case in cases] == bounded
+
+    @pytest.mark.parametrize("lengths", ["random", "unit"])
+    @pytest.mark.parametrize("demand", [1, (0, 2), (0, 3)], ids=["d1", "d0-2", "d0-3"])
+    def test_completion_bound_is_a_lower_bound(self, lengths, demand):
+        # after[h] is at most the cheapest vertex set, drawn from all
+        # vertices, that meets the demands of every edge starting after the
+        # vertex of right rank h - 1 ends; monitors recounted by brute force
+        bounded = 0
+        for n, weight, seed in product(range(3, 13), [(0, 3, 1), (1, 4, 4)], range(3)):
+            inst, real = gen_interval(
+                n, lengths=lengths, demand=demand, weight=weight, seed=seed
+            )
+            g, ivs = inst.graph, real.intervals
+            after = intervals._completion_bound(inst, real)
+            ends = sorted(b for _, b in ivs)
+            assert len(after) == n + 1
+            for h, bar in enumerate([None] + ends):
+                constraints = [
+                    (frozenset(bf.common_neighbors(g, u, v)), c)
+                    for (u, v), c in zip(g.edges, inst.demands)
+                    if c and (bar is None or max(ivs[u][0], ivs[v][0]) > bar)
+                ]
+                best = minimum_weight_cover(inst.weights, constraints)
+                if best.feasible:
+                    assert after[h] <= best.value * inst.scale
+                    bounded += after[h] > 0
+        assert bounded
 
     @pytest.mark.parametrize("lengths", ["random", "unit"])
     def test_incumbent_bounds_the_optimum(self, lengths):
