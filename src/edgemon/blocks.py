@@ -12,12 +12,14 @@ a stack of vertices) emits them in post-order and records, for each, the
 cut vertex it shares with the blocks after it (`BlockCutTree.attach`);
 those vertices are the cut vertices.  Eliminating blocks in that order
 makes each a leaf when its turn comes, so the solver needs no walk of its
-own and no leaf search.  The graph's demand checks (`core.demand_checks`)
-are read once into one map by edge, and each block takes its own demands
-from it once into the level tables of `complete`'s clique search, which
-serve both of its searches.  Apart from sorting blocks and members, and
-the clique searches, whose cost depends only on a block's size and
-demands, the elimination is linear in the size of the block-cut tree.
+own and no leaf search.  In a block graph the monitors of an edge are
+the rest of its block, so the solver computes no monitor set: it reads
+the demands once into one map by edge (`Instance.demand_map`), and each
+block takes its own positive demands from it once into the level tables
+of `complete`'s clique search, which serve both of its searches.  Apart
+from sorting blocks and members, and the clique searches, whose cost
+depends only on a block's size and demands, the elimination is linear in
+the size of the block-cut tree.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .core import (
     Instance,
     Solution,
     certify,
-    demand_checks,
     is_monitoring_set,  # noqa: F401  unused here; edgebench's tracer hooks it
     monitor_table,  # noqa: F401  unused here; edgebench's tracer hooks it
 )
@@ -120,13 +121,13 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
 def solve_block(inst: Instance) -> Solution:
     """Exact minimum-weight monitoring set of a block graph.
 
-    One pass over `demand_checks` serves every block: in a block graph
-    the monitors of an edge are the rest of its block.  Blocks are settled
-    in the order of `block_cut_tree`, each by the level search of
-    `complete` over its own members.  A block with an `attach` vertex is a
-    leaf of what is left: it is settled plain, then forced through that
-    vertex (unless the plain witness holds it already) from the same level
-    tables, and the vertex is re-priced.  A block without one ends its
+    One map from edge to demand serves every block: in a block graph the
+    monitors of an edge are the rest of its block, so none is computed.
+    Blocks are settled in the order of `block_cut_tree`, each by the
+    level search of `complete` over its own members.  A block with an
+    `attach` vertex is a leaf of what is left: it is settled plain, then
+    forced through that vertex (unless the plain witness holds it
+    already) from the same level tables, and the vertex is re-priced.  A block without one ends its
     component: it is settled plain, and the component's witness is rebuilt
     from the recorded steps.
     """
@@ -135,7 +136,7 @@ def solve_block(inst: Instance) -> Solution:
         raise InputError(
             f"not a block graph: blocks {list(tree.non_clique_blocks)} are not cliques"
         )
-    demand_of = {e: c for e, _, c in demand_checks(inst)}
+    demand_of = inst.demand_map()
     cost = list(inst.cost)
 
     total = 0

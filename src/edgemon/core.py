@@ -188,7 +188,7 @@ class Instance:
     @cached_property
     def _edge_index(self) -> dict[Edge, int]:
         """Position of each edge in `graph.edges`, built on the first
-        `demand(u, v)` call: no solver reads it."""
+        `demand(u, v)` call; `planar.solve_band` reads demands through it."""
         return {e: i for i, e in enumerate(self.graph.edges)}
 
     @staticmethod

@@ -9,6 +9,12 @@ branch-and-bound engine rather than a tree-decomposition routine; the
 approximation factor (k+2)/k only needs band optimality, so the guarantee
 is unaffected while worst-case polynomiality is given up.  Planarity
 itself is trusted, with an edge-count sanity warning.
+
+`solve_band` is the one band solver; the sweep calls it for each band
+that holds a vertex.  It builds the band's constraints for the edges that
+touch the band alone, each monitor set from the kernel
+(`core._monitor_set`) and each demand from `Instance.demand`, so no table
+of the whole graph is kept.
 """
 
 from __future__ import annotations
@@ -17,14 +23,14 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
-    Edge,
     Graph,
     InputError,
     Instance,
     Solution,
+    _monitor_set,
     certify,
     demand_checks,
     is_monitoring_set,  # noqa: F401  unused here; edgebench's tracer hooks it
@@ -102,33 +108,17 @@ def solve_band(
     budget: SearchBudget | None = None,
 ) -> Solution:
     """Exact cheapest set inside `region` covering every demand on edges
-    that touch `band`; edges entirely outside the band are ignored."""
+    that touch `band`; edges entirely outside the band are ignored.
+
+    The band's edges are read from its vertices' adjacency and sorted, so
+    the constraints come in edge order, as the zero-weight tie-break
+    needs, at the cost of the band alone."""
     band, region = frozenset(band), frozenset(region)
     if not band <= region:
         raise InputError("band must be contained in its region")
-    return _solve_band(inst, band, region, budget, _demanded(inst))
-
-
-def _demanded(inst: Instance) -> dict[Edge, tuple[frozenset[int], int]]:
-    """The (monitors, demand) constraint of each edge of positive demand,
-    from one pass over `demand_checks`."""
-    return {e: (mon, c) for e, mon, c in demand_checks(inst)}
-
-
-def _solve_band(
-    inst: Instance,
-    band: Iterable[int],
-    region: Collection[int],
-    budget: SearchBudget | None,
-    demanded: dict[Edge, tuple[frozenset[int], int]],
-) -> Solution:
-    """`solve_band` on the `_demanded` constraints, for a band already
-    inside its region.  The band's edges are read from its vertices'
-    adjacency and sorted, so the constraints come in edge order, as the
-    zero-weight tie-break needs, at the cost of the band alone."""
-    adj = inst.graph.adjacency
-    touching = sorted({(u, v) if u < v else (v, u) for u in band for v in adj[u]})
-    constraints = [demanded[e] for e in touching if e in demanded]
+    g = inst.graph
+    edges = sorted({(u, v) if u < v else (v, u) for u in band for v in g.adjacency[u]})
+    constraints = [(_monitor_set(g, *e), c) for e in edges if (c := inst.demand(*e))]
     try:
         return _cover(inst.cost, inst.scale, constraints, region, budget)
     except BudgetExceeded as exc:
@@ -141,7 +131,8 @@ def ptas_planar(
     """(k+2)/k-approximation with k = ceil(2/epsilon), per component.
 
     An edge with fewer monitors than its demand means no monitoring set
-    exists at all; the constraints read once for the bands show it.
+    exists at all; one pass over `demand_checks`, which keeps nothing,
+    shows it.
     Otherwise every band subproblem is feasible, each offset's union
     monitors the whole component, and the cheapest offset is kept.
 
@@ -158,8 +149,7 @@ def ptas_planar(
         raise InputError("epsilon must be positive")
     k = ceil(Fraction(2) / eps)
     g = inst.graph
-    demanded = _demanded(inst)
-    if any(len(mon) < c for mon, c in demanded.values()):
+    if any(len(mon) < c for _, mon, c in demand_checks(inst)):
         return Solution.infeasible()
     if g.n >= 3 and g.m > 3 * g.n - 6:
         warnings.warn("edge count exceeds the planar bound 3n-6", stacklevel=2)
@@ -181,7 +171,7 @@ def ptas_planar(
                 covered |= band
                 if not band:
                     continue
-                sol = _solve_band(inst, band, region, budget, demanded)
+                sol = solve_band(inst, band, region, budget)
                 picked.update(sol.vertices)
             if covered != set(comp):
                 raise RuntimeError("planar sweep: bands of one offset miss a layer")

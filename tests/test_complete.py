@@ -4,7 +4,7 @@ parameterized recursion, and the weighted approximation scheme."""
 import pytest
 from fractions import Fraction
 from itertools import combinations
-from math import ceil
+from math import ceil, comb
 
 import edgemon.blocks
 import edgemon.complete
@@ -402,6 +402,31 @@ class TestPtasComplete:
             if cmax <= k:
                 ref = first_cheapest(inst, sets_up_to(n, k + 2))
                 assert ptas_complete(inst, eps) == ref
+
+    @pytest.mark.parametrize(
+        "n,demand,eps", [(16, (12, 13), Fraction(1)), (14, (11, 12), Fraction(2))]
+    )
+    def test_core_parts_start_at_c_minus_k(self, monkeypatch, n, demand, eps):
+        # a candidate holds at least C vertices and at most k outsiders, so
+        # only core parts of at least C - k of the C+2 cheapest are drawn,
+        # each with at most k outsiders
+        drawn = []
+
+        def counting(items, size):
+            for chosen in combinations(items, size):
+                drawn.append(chosen)
+                yield chosen
+
+        monkeypatch.setattr(edgemon.complete, "combinations", counting)
+        inst = gen_complete(n, demand=demand, weight=(1, 4, 4), seed=1)
+        sol = ptas_complete(inst, eps)
+        cmax, k = max(inst.demands), ceil(2 / eps)
+        outside = n - (cmax + 2)
+        extras = 1 + sum(comb(outside, e) for e in range(k + 1))
+        cores = sum(comb(cmax + 2, s) for s in range(cmax - k, cmax + 3))
+        assert cmax > k and 0 < len(drawn) <= cores * extras
+        assert sol.feasible and is_monitoring_set(inst, sol.vertices)
+        assert sol.value <= (1 + eps) * exact_gamma_m(inst).value
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2)])

@@ -16,10 +16,11 @@ from edgemon import (
     feasibility_precheck,
     gen_planar,
     is_monitoring_set,
+    monitor_table,
     ptas_planar,
     solve_band,
 )
-from edgemon.oracle import SearchBudget
+from edgemon.oracle import SearchBudget, minimum_weight_cover
 
 import bruteforce as bf
 
@@ -35,7 +36,6 @@ def sweep_every_region(inst, epsilon, budget=None):
     k = ceil(2 / Fraction(epsilon))
     if not feasibility_precheck(inst):
         return None
-    demanded = edgemon.planar._demanded(inst)
     witness = set()
     for comp in inst.graph.connected_components():
         layers = edgemon.planar._layers(inst.graph, comp[0])
@@ -47,9 +47,7 @@ def sweep_every_region(inst, epsilon, budget=None):
                 band = edgemon.planar._union(layers, start, start + k - 1)
                 region = edgemon.planar._union(layers, start - 1, start + k)
                 if region:
-                    sol = edgemon.planar._solve_band(
-                        inst, band, region, budget, demanded
-                    )
+                    sol = edgemon.planar.solve_band(inst, band, region, budget)
                     picked.update(sol.vertices)
             offsets.append((sum(inst.cost[v] for v in picked), offset, picked))
         witness |= min(offsets, key=lambda t: t[:2])[2]
@@ -139,6 +137,68 @@ class TestSolveBand:
                 break
         assert sol.feasible and sol.value == best
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_cover_of_its_touching_edges(self, seed):
+        # reference: the band's demanded edges in edge order, each with its
+        # monitors from the whole-graph table, covered inside the region
+        rng = SplitMix64(seed + 40)
+        checked = 0
+        for _ in range(4):
+            rows, cols = 2 + rng.below(4), 2 + rng.below(4)
+            inst = gen_planar(
+                rows, cols, triangulate=True, demand=(0, 1 + rng.below(2)),
+                weight=(0, 3, 1), seed=rng.below(1000),
+            )
+            table = monitor_table(inst)
+            lay = bfs_layering(inst.graph, 0)
+            for k in (1, 2, 3):
+                for start in range(-1, lay.depth + 1):
+                    band = lay.slice(start, start + k - 1)
+                    region = lay.slice(start - 1, start + k)
+                    constraints = [
+                        (table[e], c)
+                        for e, c in zip(inst.graph.edges, inst.demands)
+                        if c and (e[0] in band or e[1] in band)
+                    ]
+                    try:
+                        want = minimum_weight_cover(
+                            inst.weights, constraints, allowed=region
+                        )
+                    except BudgetExceeded as exc:
+                        with pytest.raises(BudgetExceeded) as err:
+                            solve_band(inst, band, region)
+                        assert str(err.value) == (
+                            f"band region of {len(region)} vertices: {exc}"
+                        )
+                        continue
+                    assert solve_band(inst, band, region) == want
+                    checked += 1
+        assert checked
+
+    def test_no_whole_graph_constraint_pass(self, monkeypatch):
+        import edgemon.core
+
+        passes = []
+
+        def counting(name, demand_checks):
+            def wrapped(inst, *rest):
+                passes.append(name)
+                return demand_checks(inst, *rest)
+
+            return wrapped
+
+        for module in (edgemon.core, edgemon.planar):
+            monkeypatch.setattr(
+                module, "demand_checks", counting(module.__name__, module.demand_checks)
+            )
+        monkeypatch.setattr(
+            edgemon.planar, "monitor_table", lambda inst: passes.append("table")
+        )
+        inst = gen_planar(3, 12, triangulate=True, demand=(0, 1), seed=3)
+        lay = bfs_layering(inst.graph, 0)
+        sol = solve_band(inst, lay.slice(4, 5), lay.slice(3, 6))
+        assert sol.feasible and sol.vertices and passes == []
+
 
 class TestPtasPlanar:
     def test_zero_demand_returns_empty(self):
@@ -216,13 +276,13 @@ class TestPtasPlanar:
 
     def test_bands_without_vertices_are_not_solved(self, monkeypatch):
         bands = []
-        solve = edgemon.planar._solve_band
+        solve = edgemon.planar.solve_band
 
         def counting(inst, band, *rest):
             bands.append(len(band))
             return solve(inst, band, *rest)
 
-        monkeypatch.setattr(edgemon.planar, "_solve_band", counting)
+        monkeypatch.setattr(edgemon.planar, "solve_band", counting)
         inst = gen_planar(8, 3, triangulate=True, demand=(0, 1), seed=1)
         sol = ptas_planar(inst, 1)
         assert sol.vertices == (1, 3, 4, 7, 9, 10, 13, 16, 17, 18, 20)
