@@ -284,8 +284,9 @@ def ptas_complete(inst: Instance, epsilon) -> Solution:
     infeasible; otherwise candidates mixing the C+2 cheapest vertices with
     up to k outsiders are scanned, which contains either the optimum or a
     set within the ratio.  A candidate needs at least C vertices and takes
-    at most k outsiders, so core parts start at C - k vertices: the
-    smaller subsets of the C+2 cheapest would be walked to yield nothing.
+    at most k outsiders, of which there are n - C - 2, so core parts start
+    at C - min(k, n - C - 2) vertices: the smaller subsets of the C+2
+    cheapest would be walked to yield nothing.
     """
     _require_complete(inst)
     eps = Fraction(epsilon)
@@ -303,7 +304,7 @@ def ptas_complete(inst: Instance, epsilon) -> Solution:
     outside = sorted(set(range(n)) - set(first))
 
     def pool():
-        for core_size in range(cmax - k, cmax + 3):  # cmax > k here
+        for core_size in range(cmax - min(k, len(outside)), cmax + 3):  # cmax > k here
             for core_part in combinations(sorted(first), core_size):
                 lo = max(0, cmax - core_size)
                 hi = min(k, cmax + 2 - core_size, len(outside))

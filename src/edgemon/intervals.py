@@ -96,6 +96,20 @@ limit.  This too keeps S*'s prefix:
 With the limit at the weight of all vertices nothing is pruned, since
 after[h] counts only vertices outside the state.
 
+The family is built greedily, edges by descending start.  Edges of equal
+start share their later-starting endpoint, so their monitor sets overlap
+and mostly only one of them can join; the worthiest is tried first, ties
+going to edge order, so worth rather than vertex labels picks that one.
+The argument above uses only that the family's monitor sets are pairwise
+disjoint and that each edge counts only at thresholds before its start,
+so it holds for any visiting order.  Monitor sets are int masks: one
+sweep of the sorted endpoints gives each vertex the vertices that start
+before it ends and those that end after it starts, and by Helly's
+property an edge's monitors are the four masks of its endpoints ANDed,
+less the endpoints.  Bits go by (cost, id), so an edge's worth is the
+cost of its c(e) lowest set bits, worked out only while its mask misses
+the family.
+
 The reverse delete starts from all vertices and visits them by the key
 `(-cost, number of demanded edges monitored, id)`, dropping a vertex when
 every edge it monitors keeps its demand.  Among equal weights the vertex
@@ -128,7 +142,6 @@ from .core import (
     InputError,
     Instance,
     Solution,
-    _monitor_set,
     certify,
     demand_checks,
     is_monitoring_set,  # noqa: F401  unused here; edgebench's tracer hooks it
@@ -393,6 +406,25 @@ def _incumbent(inst: Instance) -> int | None:
     return left
 
 
+def _sweep_masks(real: IntervalRealization, bit: list[int]) -> tuple[list[int], list[int]]:
+    """Two masks per vertex v from one pass over the sorted endpoints, over
+    the bits `bit[w]`: opened[v] holds the vertices that start before v
+    ends, and closing[v] those that end after v starts, v included in both.
+    Left ends sort first at equal coordinates, so touching intervals count
+    as meeting.  By Helly's property the monitors of an edge uv are then
+    opened[u] & opened[v] & closing[u] & closing[v] without u and v."""
+    opened, closing = [0] * real.n, [0] * real.n
+    full, started, ended = sum(bit), 0, 0
+    for _, right, v in real._sweep():
+        if right:
+            opened[v] = started
+            ended |= bit[v]
+        else:
+            started |= bit[v]
+            closing[v] = full & ~ended
+    return opened, closing
+
+
 def _completion_bound(inst: Instance, real: IntervalRealization) -> list[int]:
     """after[h]: a lower bound, in integer weight, on the vertices that a
     monitoring set holds among those ending after the vertex of right rank
@@ -401,30 +433,47 @@ def _completion_bound(inst: Instance, real: IntervalRealization) -> list[int]:
     Demanded edges are visited by descending start max(a_u, a_v), and one
     is picked when none of its monitors is a monitor of an edge picked
     before, so the picked monitor sets are pairwise disjoint.  A picked edge
-    is worth its c(e) cheapest monitors.  Every monitor of an edge ends
-    after the edge starts, so after[h] sums the picked edges that start
-    after the vertex of right rank h - 1 ends."""
+    is worth its c(e) cheapest monitors.  Among edges of equal start, which
+    share their later-starting vertex and so mostly block one another, the
+    worthiest is tried first, ties going to edge order.  Every monitor of an
+    edge ends after the edge starts, so after[h] sums the picked edges that
+    start after the vertex of right rank h - 1 ends.
+
+    Monitor sets are int masks from `_sweep_masks`, bit r being the vertex
+    of rank r by (cost, id), so the worth of a mask is the cost of its c(e)
+    lowest set bits."""
     g, ivs, cost = inst.graph, real.intervals, inst.cost
-    demanded = sorted(
-        (
-            (max(ivs[u][0], ivs[v][0]), u, v, c)
-            for (u, v), c in zip(g.edges, inst.demands)
-            if c
-        ),
-        key=itemgetter(0),
-        reverse=True,
-    )
-    used: set[int] = set()
+    ranked = sorted(range(g.n), key=lambda v: (cost[v], v))
+    price = [cost[v] for v in ranked]
+    bit = [0] * g.n
+    for r, v in enumerate(ranked):
+        bit[v] = 1 << r
+    opened, closing = _sweep_masks(real, bit)
+    groups: dict[int, list[tuple[int, int, int]]] = {}
+    for (u, v), c in zip(g.edges, inst.demands):
+        if c:
+            groups.setdefault(max(ivs[u][0], ivs[v][0]), []).append((u, v, c))
+    used = 0
     starts: list[int] = []
     tail = [0]  # tail[i]: worth of the i picked edges that start last
-    for start, u, v, c in demanded:
-        # made here, in start order, so the monitor sets of all edges are
-        # never held at once, as sorting the `demand_checks` stream would
-        mon = _monitor_set(g, u, v)
-        if used.isdisjoint(mon):
-            used |= mon
-            starts.append(-start)
-            tail.append(tail[-1] + sum(sorted(cost[w] for w in mon)[:c]))
+    for start in sorted(groups, reverse=True):
+        fresh: list[tuple[int, int]] = []  # (worth, monitors) still disjoint
+        for u, v, c in groups[start]:
+            mon = opened[u] & opened[v] & closing[u] & closing[v] & ~(bit[u] | bit[v])
+            if mon & used:
+                continue
+            worth, rest = 0, mon
+            for _ in range(min(c, mon.bit_count())):
+                low = rest & -rest
+                worth += price[low.bit_length() - 1]
+                rest ^= low
+            fresh.append((worth, mon))
+        fresh.sort(key=itemgetter(0), reverse=True)  # stable: ties keep edge order
+        for worth, mon in fresh:
+            if not mon & used:
+                used |= mon
+                starts.append(-start)
+                tail.append(tail[-1] + worth)
     ends = sorted(b for _, b in ivs)
     return [tail[-1]] + [tail[bisect_left(starts, -b)] for b in ends]
 

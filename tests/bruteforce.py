@@ -126,3 +126,35 @@ class PoolLevels:
                 if all(len(s - {u, v}) >= c for u, v, c in self.demands):
                     best = w, chosen
         return best
+
+
+def completion_bound(inst: Instance, real, worthiest_first: bool = False) -> list[int]:
+    """The interval DP's completion bound from monitor sets recounted by
+    brute force.  Demanded edges go by descending start max(a_u, a_v);
+    among equal starts they keep edge order, the rule the DP first used,
+    or with `worthiest_first` go by descending worth, ties in edge order.
+    An edge joins the family when its monitors miss every family monitor,
+    and is worth the cost of its c(e) cheapest monitors.  after[h] sums the
+    family edges that start after the h-th smallest right end, and
+    after[0] the whole family."""
+    g, ivs = inst.graph, real.intervals
+    groups: dict[int, list[tuple[int, set[int]]]] = {}
+    for (u, v), c in zip(g.edges, inst.demands):
+        if c:
+            mon = common_neighbors(g, u, v)
+            worth = sum(sorted(inst.cost[w] for w in mon)[:c])
+            groups.setdefault(max(ivs[u][0], ivs[v][0]), []).append((worth, mon))
+    used: set[int] = set()
+    family: list[tuple[int, int]] = []
+    for start in sorted(groups, reverse=True):
+        group = groups[start]
+        if worthiest_first:
+            group = sorted(group, key=lambda wm: -wm[0])
+        for worth, mon in group:
+            if used.isdisjoint(mon):
+                used |= mon
+                family.append((start, worth))
+    ends = sorted(b for _, b in ivs)
+    return [sum(w for _, w in family)] + [
+        sum(w for s, w in family if s > b) for b in ends
+    ]

@@ -407,9 +407,10 @@ class TestPtasComplete:
         "n,demand,eps", [(16, (12, 13), Fraction(1)), (14, (11, 12), Fraction(2))]
     )
     def test_core_parts_start_at_c_minus_k(self, monkeypatch, n, demand, eps):
-        # a candidate holds at least C vertices and at most k outsiders, so
-        # only core parts of at least C - k of the C+2 cheapest are drawn,
-        # each with at most k outsiders
+        # a candidate holds at least C vertices and at most k of the
+        # n - C - 2 outsiders, so only core parts of at least
+        # C - min(k, n - C - 2) of the C+2 cheapest are drawn, each with at
+        # most k outsiders
         drawn = []
 
         def counting(items, size):
@@ -423,7 +424,7 @@ class TestPtasComplete:
         cmax, k = max(inst.demands), ceil(2 / eps)
         outside = n - (cmax + 2)
         extras = 1 + sum(comb(outside, e) for e in range(k + 1))
-        cores = sum(comb(cmax + 2, s) for s in range(cmax - k, cmax + 3))
+        cores = sum(comb(cmax + 2, s) for s in range(cmax - min(k, outside), cmax + 3))
         assert cmax > k and 0 < len(drawn) <= cores * extras
         assert sol.feasible and is_monitoring_set(inst, sol.vertices)
         assert sol.value <= (1 + eps) * exact_gamma_m(inst).value

@@ -364,6 +364,61 @@ class TestSolveInterval:
         assert bounded
 
     @pytest.mark.parametrize("lengths", ["random", "unit"])
+    @pytest.mark.parametrize("demand", [1, (0, 2), (0, 3)], ids=["d1", "d0-2", "d0-3"])
+    def test_completion_bound_tries_worthiest_first(self, lengths, demand):
+        # the bound is the brute-force rule that tries the worthiest of equal
+        # starts first; against the edge-order rule it replaced it is larger
+        # at far more thresholds than it is smaller.  It is not larger at
+        # every one: a worthier pick can block edges that start earlier, as
+        # on unit gen_interval(9, demand=(0, 3), weight=(1, 4, 4), seed=5),
+        # where after[0] falls from 64 to 60
+        up = down = 0
+        for n, weight, seed in product(range(3, 31, 3), [(0, 3, 1), (1, 4, 4)], range(4)):
+            inst, real = gen_interval(
+                n, lengths=lengths, demand=demand, weight=weight, seed=seed
+            )
+            after = intervals._completion_bound(inst, real)
+            assert after == bf.completion_bound(inst, real, worthiest_first=True)
+            ref = bf.completion_bound(inst, real)
+            up += sum(map(int.__gt__, after, ref))
+            down += sum(map(int.__lt__, after, ref))
+        assert up > 5 * down
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sweep_masks_give_monitor_sets(self, seed):
+        # the monitors of each edge, read through the ranks by (cost, id)
+        # with zero weights tying, equal core._monitor_set; realizations
+        # are generated, coarsened so endpoints are shared or touch, and
+        # normalized
+        from edgemon.core import _monitor_set
+
+        reals = [
+            IntervalRealization(((0, 4), (4, 8), (0, 8), (2, 2), (8, 8), (3, 6))),
+        ]
+        for lengths in ("random", "unit"):
+            _, real = gen_interval(12, lengths=lengths, seed=seed)
+            reals.append(real)
+            for step in (2, 3, 5):
+                coarse = IntervalRealization(
+                    tuple((a // step, b // step) for a, b in real.intervals)
+                )
+                reals += [coarse, coarse.normalize()]
+        for real in reals:
+            g = real.intersection_graph()
+            weight = [Fraction((v * 7 + seed) % 3, 2) for v in range(g.n)]
+            inst = Instance.make(g, demand=0, weight=weight)
+            ranked = sorted(range(g.n), key=lambda v: (inst.cost[v], v))
+            bit = [0] * g.n
+            for r, v in enumerate(ranked):
+                bit[v] = 1 << r
+            opened, closing = intervals._sweep_masks(real, bit)
+            for u, v in g.edges:
+                mon = opened[u] & opened[v] & closing[u] & closing[v]
+                mon &= ~(bit[u] | bit[v])
+                got = {w for r, w in enumerate(ranked) if mon >> r & 1}
+                assert got == _monitor_set(g, u, v)
+
+    @pytest.mark.parametrize("lengths", ["random", "unit"])
     def test_incumbent_bounds_the_optimum(self, lengths):
         # None exactly when no monitoring set exists; otherwise at least the
         # optimum, on the instance's integer scale
