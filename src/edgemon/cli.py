@@ -4,6 +4,22 @@ Subcommands: solve (exact class solvers), approx (approximation schemes),
 oracle (branch-and-bound baseline), verify (check a vertex-set certificate),
 generate and reduce (emit instances), bench (solver vs oracle table).
 
+One ordered table, `CLASSES`, holds a record per graph class: its exact
+solver, approximation scheme, recognizer for auto, and the document
+builder that generate and bench share.  Each --class list is read from
+it, in table order:
+
+    solve     complete, block, interval, cograph, split, auto (default)
+    approx    complete, planar
+    generate  complete, block, interval, cograph, split, planar, unitdisk
+    bench     complete, block, interval, cograph, planar; --epsilon runs
+              the scheme, so only complete and planar accept it
+
+auto runs the first class in `_AUTO_ORDER` whose recognizer accepts the
+instance: interval with an 'i' certificate, cograph with a 't' one, then
+complete for a complete graph, and block otherwise.  Adding a class
+takes one table entry plus its test.
+
 Machine-readable output is line oriented:
 
     status feasible|infeasible
@@ -29,6 +45,7 @@ import argparse
 import os
 import sys
 import time
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
@@ -145,68 +162,146 @@ def _spec(parse, what: str):
     return convert
 
 
-def _auto_class(doc: InstanceDocument) -> str:
-    """The class `solve` picks without --class: a certificate line first,
-    then a complete graph, then block graphs."""
-    if doc.realization is not None:
-        return "interval"
-    if doc.cotree is not None:
-        return "cograph"
-    if doc.instance.graph.is_complete():
-        return "complete"
-    return "block"
+def _gen_spec(args) -> dict:
+    return dict(demand=args.demand, weight=args.weight, seed=args.seed)
 
 
-def _solve_class(
-    klass: str, doc: InstanceDocument, epsilon: Fraction | None = None
-) -> Solution:
-    """The solver that serves `klass`, run on `doc`: the exact one, or with
-    `epsilon` the approximation scheme of a class that has one.  Planar has
-    only the scheme, at epsilon 1 by default."""
+def _make_interval(args) -> InstanceDocument:
+    lengths = "unit" if args.unit_lengths else "random"
+    inst, real = gen_interval(args.n, lengths=lengths, **_gen_spec(args))
+    return InstanceDocument(instance=inst, realization=real)
+
+
+def _make_cograph(args) -> InstanceDocument:
+    inst, tree = gen_cograph(args.n, **_gen_spec(args))
+    return InstanceDocument(instance=inst, cotree=tree)
+
+
+def _make_split(args) -> InstanceDocument:
+    return InstanceDocument(gen_split(
+        args.clique, args.independent, edge_prob=args.edge_prob,
+        min_degree=args.min_degree, **_gen_spec(args),
+    ))
+
+
+def _make_unitdisk(args) -> InstanceDocument:
+    inst, coords = gen_unit_disk(args.n, box=args.box, **_gen_spec(args))
+    comments = tuple(f"# coord {v} {x} {y}" for v, (x, y) in enumerate(coords))
+    return InstanceDocument(instance=inst, comments=comments)
+
+
+def _solve_interval(doc: InstanceDocument) -> Solution:
+    if doc.realization is None:
+        raise InputError(
+            "interval solver needs 'i' realization lines in the instance file"
+        )
+    return solve_interval(doc.instance, doc.realization)
+
+
+def _solve_cograph(doc: InstanceDocument) -> Solution:
+    tree = doc.cotree if doc.cotree is not None else cotree_build(doc.instance.graph)
+    if tree is None:
+        raise InputError("graph is not a cograph; supply a valid 't' line")
+    return solve_cograph(doc.instance, tree)
+
+
+def _solve_split(doc: InstanceDocument) -> Solution:
     inst = doc.instance
-    if klass == "auto":
+    if not inst.is_uniform(1):
+        raise InputError("split solver handles 1-uniform demands only")
+    if any(w != 1 for w in inst.weights):
+        raise InputError("split solver handles unit weights only")
+    parts = split_partition(inst.graph)
+    if parts is None:
+        raise InputError("graph is not a split graph")
+    return split_gamma_m(inst.graph, parts[0], parts[1], budget=_budget_from_env())
+
+
+# What the subcommands do with one graph class; a field left None keeps the
+# class out of the subcommands that need it.
+# - make(args): `generate`'s document, built from its arguments.
+# - exact(doc): `solve`'s solver; scheme(doc, epsilon): `approx`'s (and
+#   `bench --epsilon`'s) approximation scheme.
+# - recognize(doc): whether `auto` may hand the document to `exact`.
+# - bench(n): the arguments that replace `generate`'s for a bench row.
+# Each callable names the solver or generator it runs as a global of this
+# module, read when it is called, so a rebound `edgemon.cli` attribute (as
+# edgebench's tracer makes) is the one that runs.
+_Class = namedtuple("_Class", "make exact scheme recognize bench", defaults=(None,) * 4)
+
+
+_COMPLETE = _Class(
+    make=lambda args: InstanceDocument(gen_complete(args.n, **_gen_spec(args))),
+    exact=lambda doc: solve_complete_cbounded(doc.instance),
+    scheme=lambda doc, eps: ptas_complete(doc.instance, eps),
+    recognize=lambda doc: doc.instance.graph.is_complete(),
+    bench=lambda n: dict(n=n),
+)
+_BLOCK = _Class(
+    make=lambda args: InstanceDocument(gen_block_graph(args.blocks, **_gen_spec(args))),
+    exact=lambda doc: solve_block(doc.instance),
+    recognize=lambda doc: True,
+    bench=lambda n: dict(blocks=[4] * max(1, (n - 1) // 3)),
+)
+_INTERVAL = _Class(
+    make=_make_interval,
+    exact=_solve_interval,
+    recognize=lambda doc: doc.realization is not None,
+    bench=lambda n: dict(n=n, unit_lengths=False),
+)
+_COGRAPH = _Class(
+    make=_make_cograph,
+    exact=_solve_cograph,
+    recognize=lambda doc: doc.cotree is not None,
+    bench=lambda n: dict(n=n, demand=1),
+)
+_PLANAR = _Class(
+    make=lambda args: InstanceDocument(
+        gen_planar(args.rows, args.cols, triangulate=args.triangulate, **_gen_spec(args))
+    ),
+    scheme=lambda doc, eps: ptas_planar(doc.instance, eps, budget=_budget_from_env()),
+    bench=lambda n: dict(
+        rows=3, cols=max(1, n // 3), triangulate=True, demand=(0, 1), weight=1
+    ),
+)
+# Every --class list shows the classes in this order.
+CLASSES = {
+    "complete": _COMPLETE, "block": _BLOCK, "interval": _INTERVAL,
+    "cograph": _COGRAPH, "split": _Class(make=_make_split, exact=_solve_split),
+    "planar": _PLANAR, "unitdisk": _Class(make=_make_unitdisk),
+}
+# `solve`'s default runs the first of these whose recognizer accepts the
+# document: a certificate line first, then a complete graph, then block.
+AUTO = "auto"
+_AUTO_ORDER = (_INTERVAL, _COGRAPH, _COMPLETE, _BLOCK)
+
+
+def _classes_with(field: str) -> list[str]:
+    """The classes whose `field` is set, in table order."""
+    return [name for name, c in CLASSES.items() if getattr(c, field) is not None]
+
+
+def _solve(klass: str, doc: InstanceDocument, epsilon: Fraction | None) -> Solution:
+    """Class `klass` solves `doc`: its exact solver, or with `epsilon` its
+    scheme.  A class with only a scheme runs it at epsilon 1 by default."""
+    if klass == AUTO:
+        entry = next(c for c in _AUTO_ORDER if c.recognize(doc))
         try:
-            return _solve_class(_auto_class(doc), doc)
+            return entry.exact(doc)
         except InputError as exc:
             raise InputError(
                 f"auto-detection failed ({exc}); pass --class explicitly or add "
                 "an 'i'/'t' certificate line"
             ) from exc
-    if klass == "complete":
-        if epsilon is not None:
-            return ptas_complete(inst, epsilon)
-        return solve_complete_cbounded(inst)
-    if klass == "planar":
-        eps = Fraction(1) if epsilon is None else epsilon
-        return ptas_planar(inst, eps, budget=_budget_from_env())
-    if klass == "block":
-        return solve_block(inst)
-    if klass == "interval":
-        if doc.realization is None:
-            raise InputError(
-                "interval solver needs 'i' realization lines in the instance file"
-            )
-        return solve_interval(inst, doc.realization)
-    if klass == "cograph":
-        tree = doc.cotree if doc.cotree is not None else cotree_build(inst.graph)
-        if tree is None:
-            raise InputError("graph is not a cograph; supply a valid 't' line")
-        return solve_cograph(inst, tree)
-    if klass == "split":
-        if not inst.is_uniform(1):
-            raise InputError("split solver handles 1-uniform demands only")
-        if any(w != 1 for w in inst.weights):
-            raise InputError("split solver handles unit weights only")
-        parts = split_partition(inst.graph)
-        if parts is None:
-            raise InputError("graph is not a split graph")
-        return split_gamma_m(inst.graph, parts[0], parts[1], budget=_budget_from_env())
-    raise InputError(f"no solver for class {klass!r}")
+    entry = CLASSES[klass]
+    if epsilon is None and entry.exact is not None:
+        return entry.exact(doc)
+    return entry.scheme(doc, Fraction(1) if epsilon is None else epsilon)
 
 
 def _cmd_solve(args) -> int:
     doc = _read_document(args.infile)
-    return _print_solution(_solve_class(args.klass, doc, args.epsilon))
+    return _print_solution(_solve(args.klass, doc, args.epsilon))
 
 
 def _cmd_oracle(args) -> int:
@@ -250,38 +345,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    spec = dict(demand=args.demand, weight=args.weight, seed=args.seed)
-    realization = None
-    cotree = None
-    comments = [f"# edgemon generate --class {args.klass} --seed {args.seed}"]
-    if args.klass == "complete":
-        inst = gen_complete(args.n, **spec)
-    elif args.klass == "block":
-        inst = gen_block_graph(args.blocks, **spec)
-    elif args.klass == "interval":
-        lengths = "unit" if args.unit_lengths else "random"
-        inst, realization = gen_interval(args.n, lengths=lengths, **spec)
-    elif args.klass == "cograph":
-        inst, cotree = gen_cograph(args.n, **spec)
-    elif args.klass == "split":
-        inst = gen_split(
-            args.clique, args.independent, edge_prob=args.edge_prob,
-            min_degree=args.min_degree, **spec,
-        )
-    elif args.klass == "planar":
-        inst = gen_planar(args.rows, args.cols, triangulate=args.triangulate, **spec)
-    else:
-        inst, coords = gen_unit_disk(args.n, box=args.box, **spec)
-        comments += [
-            f"# coord {v} {x} {y}" for v, (x, y) in enumerate(coords)
-        ]
-    doc = InstanceDocument(
-        instance=inst,
-        realization=realization,
-        cotree=cotree,
-        comments=tuple(comments),
-    )
-    _write_out(format_instance_text(doc), args.out)
+    doc = CLASSES[args.klass].make(args)
+    header = f"# edgemon generate --class {args.klass} --seed {args.seed}\n"
+    _write_out(header + format_instance_text(doc), args.out)
     return EXIT_OK
 
 
@@ -313,33 +379,17 @@ def _cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _bench_document(klass: str, seed: int, n: int) -> InstanceDocument:
-    spec = dict(demand=(0, 2), weight=(1, 4, 4), seed=seed)
-    if klass == "complete":
-        return InstanceDocument(instance=gen_complete(n, **spec))
-    if klass == "block":
-        sizes = [4] * max(1, (n - 1) // 3)
-        return InstanceDocument(instance=gen_block_graph(sizes, **spec))
-    if klass == "interval":
-        inst, real = gen_interval(n, **spec)
-        return InstanceDocument(instance=inst, realization=real)
-    if klass == "cograph":
-        inst, tree = gen_cograph(n, demand=1, weight=(1, 4, 4), seed=seed)
-        return InstanceDocument(instance=inst, cotree=tree)
-    if klass == "planar":
-        cols = max(1, n // 3)
-        inst = gen_planar(3, cols, triangulate=True, demand=(0, 1), seed=seed)
-        return InstanceDocument(instance=inst)
-    raise InputError(f"bench does not support class {klass!r}")
-
-
 def _cmd_bench(args) -> int:
+    entry = CLASSES[args.klass]
     budget = _budget_from_env()
+    if args.epsilon is not None and entry.scheme is None:
+        raise InputError(f"class {args.klass!r} has no approximation scheme")
     print("seed solver oracle ratio ms")
     for seed in args.seeds:
-        doc = _bench_document(args.klass, seed, args.n)
+        spec = dict(demand=(0, 2), weight=(1, 4, 4), seed=seed) | entry.bench(args.n)
+        doc = entry.make(argparse.Namespace(**spec))
         started = time.perf_counter()
-        sol = _solve_class(args.klass, doc, args.epsilon)
+        sol = _solve(args.klass, doc, args.epsilon)
         elapsed = (time.perf_counter() - started) * 1000
         try:
             reference = exact_gamma_m(doc.instance, budget=budget)
@@ -372,15 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="exact class-specific solver")
     p_solve.add_argument(
-        "--class", dest="klass", default="auto",
-        choices=["complete", "block", "interval", "cograph", "split", "auto"],
+        "--class", dest="klass", default=AUTO, choices=[*_classes_with("exact"), AUTO]
     )
     p_solve.add_argument("--in", dest="infile", default=None)
     p_solve.set_defaults(func=_cmd_solve, epsilon=None)
 
     p_approx = sub.add_parser("approx", help="approximation schemes")
     p_approx.add_argument(
-        "--class", dest="klass", required=True, choices=["complete", "planar"]
+        "--class", dest="klass", required=True, choices=_classes_with("scheme")
     )
     p_approx.add_argument("--epsilon", required=True, type=fraction)
     p_approx.add_argument("--in", dest="infile", default=None)
@@ -396,13 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_gen = sub.add_parser("generate", help="emit a seeded instance")
-    p_gen.add_argument(
-        "--class", dest="klass", required=True,
-        choices=[
-            "complete", "block", "interval", "cograph", "split", "planar",
-            "unitdisk",
-        ],
-    )
+    p_gen.add_argument("--class", dest="klass", required=True, choices=list(CLASSES))
     p_gen.add_argument("--n", type=int, default=8)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument(
@@ -441,8 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="solver vs oracle over seed range")
     p_bench.add_argument(
-        "--class", dest="klass", required=True,
-        choices=["complete", "block", "interval", "cograph", "planar"],
+        "--class", dest="klass", required=True, choices=_classes_with("bench")
     )
     p_bench.add_argument(
         "--seeds", default="0..9", help="inclusive range a..b",

@@ -1,5 +1,6 @@
 """Instance text round-trips and command-line behavior."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from edgemon import (
     gen_unit_disk,
     parse_instance_text,
 )
+import edgemon.cli
 from edgemon.cli import build_parser, main
 
 
@@ -539,3 +541,209 @@ class TestCli:
         )
         code, out = self.run(capsys, "solve", "--class", "split", "--in", path)
         assert code in (0, 1)
+
+
+# `--help` of the top-level parser and of each subcommand at COLUMNS=80.
+HELP_TEXTS = {
+    "": """\
+usage: edgemon [-h] {solve,approx,oracle,verify,generate,reduce,bench} ...
+
+Weighted edge monitoring solvers and instance tooling.
+
+positional arguments:
+  {solve,approx,oracle,verify,generate,reduce,bench}
+    solve               exact class-specific solver
+    approx              approximation schemes
+    oracle              exact branch-and-bound baseline
+    verify              check a vertex-set certificate
+    generate            emit a seeded instance
+    reduce              emit a hardness-construction image
+    bench               solver vs oracle over seed range
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "solve": """\
+usage: edgemon solve [-h]
+                     [--class {complete,block,interval,cograph,split,auto}]
+                     [--in INFILE]
+
+options:
+  -h, --help            show this help message and exit
+  --class {complete,block,interval,cograph,split,auto}
+  --in INFILE
+""",
+    "approx": """\
+usage: edgemon approx [-h] --class {complete,planar} --epsilon EPSILON
+                      [--in INFILE]
+
+options:
+  -h, --help            show this help message and exit
+  --class {complete,planar}
+  --epsilon EPSILON
+  --in INFILE
+""",
+    "oracle": """\
+usage: edgemon oracle [-h] [--in INFILE]
+
+options:
+  -h, --help   show this help message and exit
+  --in INFILE
+""",
+    "verify": """\
+usage: edgemon verify [-h] --solution SOLUTION [--in INFILE]
+
+options:
+  -h, --help           show this help message and exit
+  --solution SOLUTION
+  --in INFILE
+""",
+    "generate": """\
+usage: edgemon generate [-h] --class
+                        {complete,block,interval,cograph,split,planar,unitdisk}
+                        [--n N] [--seed SEED] [--demand DEMAND]
+                        [--weight WEIGHT] [--blocks BLOCKS] [--unit-lengths]
+                        [--clique CLIQUE] [--independent INDEPENDENT]
+                        [--edge-prob EDGE_PROB] [--min-degree MIN_DEGREE]
+                        [--rows ROWS] [--cols COLS] [--triangulate]
+                        [--box BOX] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --class {complete,block,interval,cograph,split,planar,unitdisk}
+  --n N
+  --seed SEED
+  --demand DEMAND       constant or lo..hi
+  --weight WEIGHT       constant, or lo..hi:denominator
+  --blocks BLOCKS       block sizes, comma separated
+  --unit-lengths
+  --clique CLIQUE
+  --independent INDEPENDENT
+  --edge-prob EDGE_PROB
+  --min-degree MIN_DEGREE
+  --rows ROWS
+  --cols COLS
+  --triangulate
+  --box BOX
+  --out OUT
+""",
+    "reduce": """\
+usage: edgemon reduce [-h] --kind {tds,is,comparability,udg} [--k K]
+                      [--chain CHAIN] [--in INFILE] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --kind {tds,is,comparability,udg}
+  --k K
+  --chain CHAIN
+  --in INFILE
+  --out OUT
+""",
+    "bench": """\
+usage: edgemon bench [-h] --class {complete,block,interval,cograph,planar}
+                     [--seeds SEEDS] [--n N] [--epsilon EPSILON]
+
+options:
+  -h, --help            show this help message and exit
+  --class {complete,block,interval,cograph,planar}
+  --seeds SEEDS         inclusive range a..b
+  --n N
+  --epsilon EPSILON
+""",
+}
+
+
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def _dispatch_files():
+    inst, real = gen_interval(7, demand=(0, 2), seed=4)
+    cinst, tree = gen_cograph(6, seed=3)
+    docs = {
+        "complete": InstanceDocument(instance=gen_complete(5, demand=1)),
+        "block": InstanceDocument(instance=gen_block_graph([3, 4], demand=1)),
+        "interval": InstanceDocument(instance=inst, realization=real),
+        "cograph": InstanceDocument(instance=cinst),
+        "cotree": InstanceDocument(instance=cinst, cotree=tree),
+        "split": InstanceDocument(instance=gen_split(4, 3, seed=9, min_degree=2)),
+        "planar": InstanceDocument(instance=gen_planar(3, 3, triangulate=True)),
+    }
+    return {name: format_instance_text(doc) for name, doc in docs.items()}
+
+
+# The `edgemon.cli` globals the dispatch calls, which edgebench's tracer rebinds.
+SOLVER_GLOBALS = (
+    "solve_complete_cbounded", "ptas_complete", "solve_block", "solve_interval",
+    "cotree_build", "solve_cograph", "split_partition", "split_gamma_m",
+    "ptas_planar",
+)
+
+
+class TestClassTable:
+    @pytest.mark.parametrize(
+        "command,file,called",
+        [
+            ("solve --class complete", "complete", ["solve_complete_cbounded"]),
+            ("solve --class block", "block", ["solve_block"]),
+            ("solve --class interval", "interval", ["solve_interval"]),
+            ("solve --class cograph", "cograph", ["cotree_build", "solve_cograph"]),
+            ("solve --class split", "split", ["split_partition", "split_gamma_m"]),
+            ("approx --class complete --epsilon 1", "complete", ["ptas_complete"]),
+            ("approx --class planar --epsilon 1", "planar", ["ptas_planar"]),
+            ("solve", "complete", ["solve_complete_cbounded"]),
+            ("solve --class auto", "block", ["solve_block"]),
+            ("solve", "interval", ["solve_interval"]),
+            ("solve", "cotree", ["solve_cograph"]),
+        ],
+        ids=str,
+    )
+    def test_solvers_are_called_through_cli_globals(
+        self, capsys, tmp_path, monkeypatch, command, file, called
+    ):
+        calls = []
+        for name in SOLVER_GLOBALS:
+            fn = getattr(edgemon.cli, name)
+            monkeypatch.setattr(edgemon.cli, name, _counting(calls, name, fn))
+        path = tmp_path / f"{file}.em"
+        path.write_text(_dispatch_files()[file])
+        code = main([*command.split(), "--in", str(path)])
+        assert code in (0, 1), capsys.readouterr().err
+        assert calls == called
+
+    @pytest.mark.parametrize("klass", ["block", "interval", "cograph"])
+    def test_bench_epsilon_needs_a_scheme(self, capsys, klass):
+        code = main(["bench", "--class", klass, "--epsilon", "1", "--seeds", "0..1"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"error: class {klass!r} has no approximation scheme\n"
+
+    def test_bench_epsilon_runs_the_scheme(self, capsys):
+        argv = ["bench", "--class", "complete", "--epsilon", "1", "--seeds", "0..1"]
+        code = main(argv)
+        rows = capsys.readouterr().out.splitlines()
+        assert code == 0 and len(rows) == 3
+
+    @pytest.mark.parametrize("command", list(HELP_TEXTS))
+    def test_help_text_is_pinned(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == HELP_TEXTS[command]
+
+    def test_class_names_are_written_once(self):
+        tree = ast.parse(Path(edgemon.cli.__file__).read_text())
+        names = [
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        ]
+        for name in (
+            "complete", "block", "interval", "cograph", "split", "planar",
+            "unitdisk", "auto",
+        ):
+            assert names.count(name) == 1, name
