@@ -18,7 +18,9 @@ it, in table order:
 auto runs the first class in `_AUTO_ORDER` whose recognizer accepts the
 instance: interval with an 'i' certificate, cograph with a 't' one, then
 complete for a complete graph, and block otherwise.  Adding a class
-takes one table entry plus its test.
+takes one table entry plus its test.  A second table, `REDUCTIONS`, maps
+each `reduce --kind` (tds, is, comparability, udg) to its construction
+and the relation line of its header.
 
 Machine-readable output is line oriented:
 
@@ -52,7 +54,14 @@ from functools import cache
 from .blocks import solve_block
 from .cographs import cotree_build, solve_cograph
 from .complete import ptas_complete, solve_complete_cbounded
-from .core import BudgetExceeded, GenerationError, InputError, Solution, deficits
+from .core import (
+    BudgetExceeded,
+    GenerationError,
+    InputError,
+    Solution,
+    deficits,
+    feasibility_precheck,
+)
 from .core import is_monitoring_set  # noqa: F401  unused; edgebench's tracer hooks it
 from .generators import (
     gen_block_graph,
@@ -214,6 +223,8 @@ def _solve_split(doc: InstanceDocument) -> Solution:
     parts = split_partition(inst.graph)
     if parts is None:
         raise InputError("graph is not a split graph")
+    if not feasibility_precheck(inst):
+        return Solution.infeasible()
     return split_gamma_m(inst.graph, parts[0], parts[1], budget=_budget_from_env())
 
 
@@ -351,29 +362,34 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+# What `reduce --kind` builds from a source graph g: the image instance,
+# and the relation that pins the image's optimum to a quantity of g, as
+# it reads after "gamma_m(image) " on the header line.  `--kind` lists
+# the kinds in this order.
+REDUCTIONS = {
+    "tds": lambda g, args: (reduce_tds_to_em(g), "= gamma_t(source) + 3"),
+    "is": lambda g, args: (
+        reduce_is_to_em(g, args.k), f"<= {args.k} iff alpha(source) >= {args.k}"
+    ),
+    "comparability": lambda g, args: (
+        reduce_bip_tds_to_comparability(g), "= gamma_t(source) + 1"
+    ),
+    "udg": lambda g, args: (
+        reduce_planar_vc_to_udg(g, chain_lengths=args.chain)[0],
+        f"= vc(source) + {5 * args.chain + 2} * m",
+    ),
+}
+
+
 def _cmd_reduce(args) -> int:
-    doc = _read_document(args.infile)
-    g = doc.instance.graph
-    header = [f"# edgemon reduce --kind {args.kind} from n={g.n} m={g.m}"]
-    if args.kind == "tds":
-        image = reduce_tds_to_em(g)
-        header.append("# relation gamma_m(image) = gamma_t(source) + 3")
-    elif args.kind == "comparability":
-        image = reduce_bip_tds_to_comparability(g)
-        header.append("# relation gamma_m(image) = gamma_t(source) + 1")
-    elif args.kind == "is":
-        image = reduce_is_to_em(g, args.k)
-        header.append(
-            f"# relation gamma_m(image) <= {args.k} iff alpha(source) >= {args.k}"
-        )
-    else:
-        image, _ = reduce_planar_vc_to_udg(g, chain_lengths=args.chain)
-        per_edge = 5 * args.chain + 2
-        header.append(
-            f"# relation gamma_m(image) = vc(source) + {per_edge} * m"
-        )
+    g = _read_document(args.infile).instance.graph
+    image, relation = REDUCTIONS[args.kind](g, args)
+    header = (
+        f"# edgemon reduce --kind {args.kind} from n={g.n} m={g.m}",
+        f"# relation gamma_m(image) {relation}",
+    )
     _write_out(
-        format_instance_text(InstanceDocument(instance=image, comments=tuple(header))),
+        format_instance_text(InstanceDocument(instance=image, comments=header)),
         args.out,
     )
     return EXIT_OK
@@ -384,6 +400,8 @@ def _cmd_bench(args) -> int:
     budget = _budget_from_env()
     if args.epsilon is not None and entry.scheme is None:
         raise InputError(f"class {args.klass!r} has no approximation scheme")
+    if args.epsilon is not None and args.epsilon <= 0:
+        raise InputError("epsilon must be positive")
     print("seed solver oracle ratio ms")
     for seed in args.seeds:
         spec = dict(demand=(0, 2), weight=(1, 4, 4), seed=seed) | entry.bench(args.n)
@@ -473,9 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=_cmd_generate)
 
     p_red = sub.add_parser("reduce", help="emit a hardness-construction image")
-    p_red.add_argument(
-        "--kind", required=True, choices=["tds", "is", "comparability", "udg"]
-    )
+    p_red.add_argument("--kind", required=True, choices=list(REDUCTIONS))
     p_red.add_argument("--k", type=int, default=2)
     p_red.add_argument("--chain", type=int, default=1)
     p_red.add_argument("--in", dest="infile", default=None)

@@ -242,9 +242,7 @@ def split_gamma_m(
         raise InputError("clique and independent sides must partition the vertices")
     if not g.is_clique(clique):
         raise InputError("clique side is not a clique")
-    if any(
-        g.has_edge(a, b) for a in independent for b in independent if a < b
-    ):
+    if any(g.adjacency[a] & independent for a in independent):
         raise InputError("independent side is not independent")
     if len(clique) < 3:
         raise InputError("clique side must have at least 3 vertices")

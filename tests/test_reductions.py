@@ -279,6 +279,28 @@ class TestSplitGraphs:
         with pytest.raises(InputError):
             split_gamma_m(low, (0, 1, 2), (3,))  # vertex 3 has degree 1
 
+    def test_independence_check_is_linear_in_the_independent_side(
+        self, monkeypatch
+    ):
+        # clique 0..4, and 60 independent vertices that each see two of it
+        n = 65
+        edges = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+        edges += [(v, c) for v in range(5, n) for c in (v % 5, (v + 1) % 5)]
+        g = Graph.from_edges(n, edges)
+        calls = []
+        has_edge = Graph.has_edge
+
+        def counting(self, u, v):
+            calls.append((u, v))
+            return has_edge(self, u, v)
+
+        monkeypatch.setattr(Graph, "has_edge", counting)
+        assert split_gamma_m(g, range(5), range(5, n)).value == 5
+        assert len(calls) <= 10  # the clique side's pairs, no independent pair
+        joined = Graph.from_edges(n, edges + [(5, 6)])
+        with pytest.raises(InputError, match="^independent side is not independent$"):
+            split_gamma_m(joined, range(5), range(5, n))
+
     @pytest.mark.parametrize("seed", range(25))
     def test_equals_oracle_on_conforming_instances(self, seed):
         from fractions import Fraction

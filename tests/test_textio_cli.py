@@ -542,6 +542,23 @@ class TestCli:
         code, out = self.run(capsys, "solve", "--class", "split", "--in", path)
         assert code in (0, 1)
 
+    def test_split_answers_infeasible(self, capsys, tmp_path):
+        path = self.write(tmp_path, "p3.em", "p em 3 2\ne 0 1 1\ne 1 2 1\n")
+        infeasible = (1, "status infeasible\n")
+        assert self.run(capsys, "solve", "--class", "split", "--in", path) == infeasible
+        answered = 0
+        for seed in range(20):
+            self.run(
+                capsys, "generate", "--class", "split", "--clique", "4",
+                "--independent", "6", "--demand", "1", "--seed", str(seed),
+                "--out", path,
+            )
+            if self.run(capsys, "oracle", "--in", path) == infeasible:
+                answered += 1
+                solved = self.run(capsys, "solve", "--class", "split", "--in", path)
+                assert solved == infeasible, seed
+        assert answered == 17
+
 
 # `--help` of the top-level parser and of each subcommand at COLUMNS=80.
 HELP_TEXTS = {
@@ -722,6 +739,14 @@ class TestClassTable:
         assert (code, out) == (2, "")
         assert err == f"error: class {klass!r} has no approximation scheme\n"
 
+    @pytest.mark.parametrize("klass", ["complete", "planar"])
+    def test_bench_checks_epsilon_before_the_header(self, capsys, klass):
+        code = main(
+            ["bench", "--class", klass, "--epsilon", "0", "--n", "6", "--seeds", "0..0"]
+        )
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", "error: epsilon must be positive\n")
+
     def test_bench_epsilon_runs_the_scheme(self, capsys):
         argv = ["bench", "--class", "complete", "--epsilon", "1", "--seeds", "0..1"]
         code = main(argv)
@@ -744,6 +769,6 @@ class TestClassTable:
         ]
         for name in (
             "complete", "block", "interval", "cograph", "split", "planar",
-            "unitdisk", "auto",
+            "unitdisk", "auto", "tds", "is", "comparability", "udg",
         ):
             assert names.count(name) == 1, name
