@@ -6,6 +6,15 @@ minimum-weight vertex set S meeting |S ∩ cand_j| >= need_j for a list of
 constraints.  A single branch-and-bound engine solves that form; the
 public wrappers just phrase their problem as constraints.
 
+The engine numbers its universe by (cost, id), so the lowest set bits of
+a vertex mask are its cheapest vertices.  Each node branches on the
+cheapest undecided candidate of the first constraint with the largest
+unmet residual, and two bounds cut it: one constraint's cheapest
+completion, or the summed completions of a family of constraints whose
+remaining candidates are pairwise disjoint, exceeds the slack below the
+incumbent weight.  The incumbent weight starts at that of a reverse-delete
+cover, for which no witness is stored (`minimum_weight_cover`).
+
 Determinism: the search is a fixed function of its input, so golden
 values and witnesses are stable across runs.  The search is a loop over
 an explicit stack, so its depth, one level per vertex taken or dropped,
@@ -14,12 +23,14 @@ include branch, so the include branch is searched to the end first: the
 nodes come in the order of a depth-first recursion, each sees the
 incumbent that recursion would, and node counts and witnesses are the
 same.  Under positive weights the witness is the lexicographically
-smallest minimum-weight sorted vertex tuple.  With zero weights the value
-is still the minimum, but the search only adds candidates of constraints
-that are still unmet, so a zero-weight vertex no such constraint needs is
-never added, even where adding it would sort first: weights (0, 1, 0, 1)
-with the one constraint ({1, 3}, 2) give (1, 3), although (0, 1, 3) weighs
-the same.
+smallest minimum-weight sorted vertex tuple: every minimum-weight set is
+minimal, no bound cuts its include/exclude path, so it is a leaf, and
+leaves of equal weight compare by their sorted vertex tuples whatever the
+branch order.  With zero weights the value is still the minimum, but the
+search only adds candidates of constraints that are still unmet, so a
+zero-weight vertex no such constraint needs is never added, even where
+adding it would sort first: weights (0, 1, 0, 1) with the one constraint
+({1, 3}, 2) give (1, 3), although (0, 1, 3) weighs the same.
 
 The one search that is not a cover is `exists_independent_set`.  An
 independent k-set exists iff a vertex cover of at most n - k vertices
@@ -33,11 +44,8 @@ k, so it does not grow like 2^n.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import or_
 from typing import Iterable, Sequence
 
 from .core import (
@@ -74,31 +82,50 @@ def minimum_weight_cover(
 ) -> Solution:
     """Minimum-weight S ⊆ allowed with |S ∩ cand| >= need for every constraint.
 
-    Branches on the constraint with the largest unmet residual demand,
-    including or excluding its smallest undecided candidate.  Constraints
-    are deduplicated by candidate set when they are read: each set keeps
-    its largest need, at the position where that need first occurs.  A
-    set's copies differ only in their need, so the first constraint with
-    the largest residual still names the same set.  A constraint met at
-    a node stays met below it, so each node scans only its parent's still
-    unmet constraints, in their original order.
+    The weights are scaled to integers once, by the LCM of their
+    denominators, and the search runs on ints.  The universe is numbered
+    0..k-1 by (cost, id), so vertex sets are k-bit masks and the lowest
+    set bits of a mask are its cheapest vertices: the cheapest completion
+    of a constraint (the cost of its residual-many cheapest remaining
+    candidates) is a few lowest-bit steps.  Constraints are deduplicated
+    by candidate set when they are read: each set keeps its largest need,
+    at the position where that need first occurs.  A set's copies differ
+    only in their need, so the first constraint with the largest residual
+    still names the same set.  A constraint met at a node stays met below
+    it, so each node scans only its parent's still unmet constraints, in
+    their original order.
 
-    Once an incumbent exists, a node is cut as soon as one unmet
-    constraint's cheapest completion (its residual-many cheapest remaining
-    candidates) exceeds the slack left below the incumbent; equal-weight
-    branches are kept so the tie-break stays exact.  For a residual of 1
-    the test is one AND with the mask of the vertices whose cost fits the
-    slack, read from one cost-sorted list; only larger residuals sum
-    costs.  These shortcuts cut exactly the nodes a full rescan would, so
-    the search tree, its node count (see `SearchBudget.node_limit`) and the
-    witness do not depend on them.
+    Each node branches on the cheapest undecided candidate of the first
+    constraint with the largest unmet residual: the include branch first,
+    then the exclude branch.  A node is cut when, against the slack left
+    below the incumbent weight,
+    - one unmet constraint's cheapest completion exceeds the slack, or
+    - the cheapest completions of a family of unmet constraints whose
+      remaining candidates are pairwise disjoint sum past the slack.  The
+      family is gathered greedily during the scan: a constraint joins it
+      when its remaining candidates miss those of every member.  A cover
+      buys each member's completion from its own vertices, so the sum is
+      a lower bound on what is still to pay.
+    Both tests are strict, so equal-weight branches are kept and the
+    tie-break stays exact.  While all free vertices together cost no more
+    than the slack no cost test can cut, and the scan skips them; this
+    shortcut cuts exactly the nodes a full scan would, so the search tree,
+    its node count (see `SearchBudget.node_limit`) and the witness do not
+    depend on it.
+
+    Before the search the incumbent weight is set to the weight W of a
+    reverse-delete cover: start from every vertex, and drop each vertex,
+    dearest first, that no constraint needs.  No witness is stored for
+    it: until a leaf is held, a leaf of weight at most W is accepted.
+    Under positive weights the witness is still the lexicographically
+    smallest minimum: such a set is minimal, its include/exclude path is
+    never cut, since disjoint completions sum to at most its remaining
+    weight, so it is a leaf, and equal-weight leaves compare by
+    `members(chosen) < members(best)` whatever the branch order.  With
+    zero weights only the value is guaranteed (see the module docstring).
 
     `constraints` is read once, after the vertex budget is checked, so a
-    lazy iterable costs nothing on a refused instance.  The weights are
-    scaled to integers once, by the LCM of their denominators, and the
-    search runs on ints: the universe is numbered 0..k-1 in ascending
-    vertex order, so vertex sets are k-bit masks whose low bits are the
-    small ids.
+    lazy iterable costs nothing on a refused instance.
     """
     cost, scale = scaled_weights(weights)
     return _cover(cost, scale, constraints, allowed, budget)
@@ -114,12 +141,14 @@ def _cover(
     """`minimum_weight_cover` on integer costs with weights[v] ==
     cost[v] / scale."""
     budget = budget if budget is not None else SearchBudget()
-    universe = sorted(range(len(cost)) if allowed is None else set(allowed))
-    if len(universe) > budget.max_vertices:
+    pool = range(len(cost)) if allowed is None else set(allowed)
+    if len(pool) > budget.max_vertices:
         raise BudgetExceeded(
-            f"{len(universe)} candidate vertices exceed budget "
-            f"{budget.max_vertices}"
+            f"{len(pool)} candidate vertices exceed budget {budget.max_vertices}"
         )
+    # bit i is the i-th cheapest vertex, ties by id (the sort is stable), so
+    # the lowest set bits of a mask are its cheapest vertices
+    universe = sorted(sorted(pool), key=cost.__getitem__)
     index = {v: i for i, v in enumerate(universe)}
     ucost = [cost[v] for v in universe]
     needs: dict[int, int] = {}  # candidate mask -> largest need
@@ -135,42 +164,37 @@ def _cover(
                 # re-inserting moves the mask to where its largest need occurs
                 needs.pop(mask, None)
                 needs[mask] = int(need)
-    by_cost = sorted((c, 1 << i) for i, c in enumerate(ucost))
-    # (candidate mask, need, its (cost, bit) pairs in ascending cost order)
-    cons = [
-        (mask, need, [pair for pair in by_cost if pair[1] & mask])
-        for mask, need in needs.items()
-    ]
-    # cheap[j] is the mask of the j cheapest vertices, so the vertices of
-    # cost at most s are cheap[bisect_right(levels, s)]
-    levels = [c for c, _ in by_cost]
-    cheap = list(accumulate((bit for _, bit in by_cost), or_, initial=0))
+    cons = list(needs.items())
 
     limit = budget.node_limit
     nodes = 0
-    best_w: int | None = None
-    best_mask = 0
+    # every constraint can be met, so a reverse-delete cover exists; only
+    # its weight is kept, and until a leaf is held one as light is accepted
+    best_w = _reverse_delete(ucost, cons)
+    best_mask: int | None = None
 
     def members(mask: int) -> tuple[int, ...]:
-        return tuple(v for i, v in enumerate(universe) if mask >> i & 1)
+        return tuple(sorted(v for i, v in enumerate(universe) if mask >> i & 1))
 
     # the nodes still to visit; see the module docstring for their order
-    stack = [(0, (1 << len(universe)) - 1, 0, cons)]
+    stack = [(0, (1 << len(universe)) - 1, 0, sum(ucost), cons)]
     while stack:
-        chosen, free, w, unmet = stack.pop()
+        chosen, free, w, free_w, unmet = stack.pop()
         nodes += 1
         if limit is not None and nodes > limit:
             raise BudgetExceeded(f"node limit {limit} exhausted")
 
-        bounded = best_w is not None
-        if bounded:
-            slack = best_w - w
-            fits = cheap[bisect_right(levels, slack)]
+        slack = best_w - w
+        # completions buy free vertices, so while all free vertices together
+        # fit in the slack no cost test can cut, and the scan skips them
+        bounded = slack < free_w
+        packed = 0  # the remaining candidates of the disjoint family
+        packing = 0  # the sum of the family's cheapest completions
         still = []
         worst_need = 0
         worst_free = 0
         for con in unmet:
-            mask, need, order = con
+            mask, need = con
             residual = need - (mask & chosen).bit_count()
             if residual <= 0:
                 continue
@@ -178,37 +202,67 @@ def _cover(
             if remaining.bit_count() < residual:
                 break  # constraint can no longer be met on this branch
             if bounded:
-                if residual == 1:
-                    if not remaining & fits:
-                        break  # every remaining candidate costs too much
-                else:
-                    total, left = 0, residual
-                    for c, bit in order:
-                        if bit & remaining:
-                            total += c
-                            left -= 1
-                            if total > slack or not left:
-                                break
+                # the cheapest completion: the residual lowest remaining
+                # bits, unrolled for the common residuals 1 and 2
+                low = remaining & -remaining
+                total = ucost[low.bit_length() - 1]
+                if residual == 2:
+                    rest = remaining ^ low
+                    total += ucost[(rest & -rest).bit_length() - 1]
+                elif residual > 2:
+                    rest = remaining ^ low
+                    for _ in range(residual - 1):
+                        low = rest & -rest
+                        total += ucost[low.bit_length() - 1]
+                        rest ^= low
+                if remaining & packed:
                     if total > slack:
-                        break  # cheapest completion beats the slack
+                        break  # this constraint alone costs too much
+                else:  # disjoint from the family, so it joins it
+                    packing += total
+                    if packing > slack:
+                        break  # the family's completions cost too much
+                    packed |= remaining
             still.append(con)
             if residual > worst_need:
                 worst_need, worst_free = residual, remaining
         else:  # no constraint cut this node
             if still:
                 low = worst_free & -worst_free
-                stack.append((chosen, free ^ low, w, still))
-                w += ucost[low.bit_length() - 1]
-                stack.append((chosen | low, free ^ low, w, still))
-            elif (
-                best_w is None or w < best_w
-                or (w == best_w and members(chosen) < members(best_mask))
+                c = ucost[low.bit_length() - 1]
+                stack.append((chosen, free ^ low, w, free_w - c, still))
+                stack.append((chosen | low, free ^ low, w + c, free_w - c, still))
+            elif w < best_w or w == best_w and (
+                best_mask is None or members(chosen) < members(best_mask)
             ):
                 best_w, best_mask = w, chosen
 
-    if best_w is None:
-        return Solution.infeasible()
     return Solution.of(members(best_mask), Fraction(best_w, scale))
+
+
+def _reverse_delete(ucost: Sequence[int], cons: Sequence[tuple[int, int]]) -> int:
+    """Weight of a cover found by reverse delete: from the whole universe,
+    drop each vertex, dearest first, whose constraints all keep their need
+    without it.  A vertex can be dropped when no tight constraint (one
+    that holds exactly its need) names it, so each dropped vertex costs one
+    pass over the constraints and each kept one a single AND."""
+    spare = [mask.bit_count() - need for mask, need in cons]
+    tight = 0
+    for (mask, _), extra in zip(cons, spare):
+        if not extra:
+            tight |= mask
+    w = sum(ucost)
+    for i in reversed(range(len(ucost))):
+        bit = 1 << i
+        if tight & bit:
+            continue
+        w -= ucost[i]
+        for j, (mask, _) in enumerate(cons):
+            if mask & bit:
+                spare[j] -= 1
+                if not spare[j]:
+                    tight |= mask
+    return w
 
 
 def exact_gamma_m(inst: Instance, budget: SearchBudget | None = None) -> Solution:

@@ -233,8 +233,10 @@ def split_gamma_m(
     Searches clique-side double dominating sets of size at least 3, which
     are exactly the clique-side monitoring sets: three clique vertices
     cover every clique edge, and double domination of an independent
-    vertex leaves a second neighbor for each of its edges.  Needs minimum
-    degree 2 and a clique side of size at least 3.
+    vertex leaves a second neighbor for each of its edges.  An isolated
+    vertex monitors nothing and has no edge to monitor, so it gets no
+    constraint, and an edgeless graph has value 0.  Otherwise needs every
+    other vertex of degree at least 2 and a clique side of size at least 3.
     """
     clique = frozenset(clique)
     independent = frozenset(independent)
@@ -244,16 +246,19 @@ def split_gamma_m(
         raise InputError("clique side is not a clique")
     if any(g.adjacency[a] & independent for a in independent):
         raise InputError("independent side is not independent")
+    if not g.m:  # nothing to monitor
+        return Solution.of((), 0)
     if len(clique) < 3:
         raise InputError("clique side must have at least 3 vertices")
-    if any(g.degree(v) < 2 for v in range(g.n)):
-        raise InputError("minimum degree must be at least 2")
+    if any(g.degree(v) == 1 for v in range(g.n)):
+        raise InputError("minimum degree must be at least 2, isolated vertices aside")
     if budget is None:
         budget = SearchBudget(max_vertices=DOMINATION_BUDGET)
     inst = Instance.make(g, demand=1)
-    constraints = [(g.closed_neighbors(v), 2) for v in range(g.n)]
+    constraints = [(g.closed_neighbors(v), 2) for v in range(g.n) if g.degree(v)]
     constraints.append((clique, 3))
     sol = minimum_weight_cover(inst.weights, constraints, allowed=clique, budget=budget)
-    # degree >= 2 makes the clique side always sufficient; under unit
-    # weights the integer weight of the witness is its size
+    # degree >= 2 off isolated vertices makes the clique side always
+    # sufficient; under unit weights the integer weight of the witness is
+    # its size
     return certify(inst, sol.vertices, len(sol.vertices), "split search")

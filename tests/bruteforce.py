@@ -63,6 +63,18 @@ def brute_double_dom(g: Graph, weights=None) -> Solution:
     return _best_subset(g.n, weights, double)
 
 
+def brute_cover(weights, constraints, allowed=None) -> Solution:
+    """Minimum-weight S within `allowed` (all vertices when None) meeting
+    |S ∩ cand| >= need for every (cand, need), the lexicographically
+    smallest sorted tuple among equal weights."""
+    n = len(weights)
+    pool = set(range(n) if allowed is None else allowed)
+    return _best_subset(
+        n, weights,
+        lambda s: s <= pool and all(len(s & set(c)) >= k for c, k in constraints),
+    )
+
+
 def brute_alpha(g: Graph) -> int:
     best = 0
     for size in range(g.n, -1, -1):

@@ -34,13 +34,12 @@ AUTO_FAILED = "error: auto-detection failed (not a block graph"
 REFUSALS = {
     # Gaps: auto tries no split, planar or unit-disk solver, and neither
     # auto nor the interval solver reads an interval file without 'i' lines
-    # (ROADMAP items 3 and 15); the split search needs minimum degree 2.
+    # (ROADMAP items 3 and 15).
     ("split", "solve", 2, AUTO_FAILED): 18,
     ("planar", "solve", 2, AUTO_FAILED): 20,
     ("unitdisk", "solve", 2, AUTO_FAILED): 10,
     ("interval", "solve", 2, AUTO_FAILED): 21,
     ("interval", "solve --class interval", 2, "error: interval solver needs"): 21,
-    ("split", "solve --class split", 2, "error: minimum degree must be"): 1,
     # Documented: the split solver takes unit weights only.
     ("split", "solve --class split", 2, "error: split solver handles unit"): 10,
 }

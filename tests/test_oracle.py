@@ -32,6 +32,7 @@ from edgemon import (
     gen_unit_disk,
     is_monitoring_set,
     minimum_weight_cover,
+    ptas_planar,
     solve_band,
 )
 from edgemon.cli import main
@@ -123,31 +124,31 @@ def _repeated_candidate_set(budget):
 PINNED_TREES = {
     "complete": (
         lambda: _gamma_m(gen_complete(12, demand=(0, 3), weight=W, seed=5)),
-        ("29/4", "fa60c7a8465237d2", 349),
+        ("29/4", "fa60c7a8465237d2", 29),
     ),
     "block": (
         lambda: _gamma_m(gen_block_graph([4, 5, 4, 4, 5], demand=(0, 2), weight=W, seed=3)),
-        ("28", "b1e427e7b788681c", 193),
+        ("28", "b1e427e7b788681c", 203),
     ),
     "cograph": (
         lambda: _gamma_m(gen_cograph(18, demand=1, weight=W, seed=3)[0]),
-        ("15/2", "5d166d19e1737ead", 1069),
+        ("15/2", "5d166d19e1737ead", 57),
     ),
     "split": (
         lambda: _gamma_m(gen_split(6, 12, demand=1, seed=1, min_degree=2)),
-        ("5", "7c1953b9f06f1ff2", 29),
+        ("5", "7c1953b9f06f1ff2", 25),
     ),
     "interval": (
         lambda: _gamma_m(gen_interval(18, demand=(0, 2), weight=W, seed=1)[0]),
-        ("31/4", "9ac257ccc3ddf9fc", 251),
+        ("31/4", "9ac257ccc3ddf9fc", 169),
     ),
     "unit_disk": (
         lambda: _gamma_m(gen_unit_disk(18, box=5, demand=(0, 1), weight=W, seed=5)[0]),
-        ("53/4", "b08b20e65e3af0b0", 619),
+        ("53/4", "b08b20e65e3af0b0", 123),
     ),
-    "band": (lambda: _band_4x4(1), ("51/4", "5687a4aafb089391", 233)),
-    "gamma_t": (lambda: _domination(exact_gamma_t), ("13/4", "b2a7c750c2fc773e", 61)),
-    "double_dom": (lambda: _domination(exact_double_dom), ("8", "f3774d87e14a6554", 315)),
+    "band": (lambda: _band_4x4(1), ("51/4", "5687a4aafb089391", 13)),
+    "gamma_t": (lambda: _domination(exact_gamma_t), ("13/4", "b2a7c750c2fc773e", 27)),
+    "double_dom": (lambda: _domination(exact_double_dom), ("8", "f3774d87e14a6554", 137)),
     "repeated_set": (lambda: _repeated_candidate_set, ("0", "b31087bb07799231", 11)),
 }
 
@@ -426,6 +427,49 @@ class TestEngine:
         )
         assert sol.vertices == (2, 3)
 
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_enumeration_on_random_systems(self, seed):
+        # 24 systems per seed, 600 in all: repeated candidate sets, needs up
+        # to 3, `allowed` subsets, and zero, unit or rational weights
+        rng = SplitMix64(seed + 7000)
+        for _ in range(24):
+            n = 1 + rng.below(8)
+            kind = rng.below(3)
+            weights = [
+                (Fraction(rng.below(2)), Fraction(1), 1 + Fraction(rng.below(9), 4))[kind]
+                for _ in range(n)
+            ]
+            sets = [frozenset(v for v in range(n) if rng.below(2)) for _ in range(3)]
+            constraints = [
+                (sets[rng.below(3)], rng.below(4)) for _ in range(rng.below(7))
+            ]
+            allowed = (
+                None if rng.below(2)
+                else {v for v in range(n) if rng.below(4)}
+            )
+            fast = minimum_weight_cover(weights, constraints, allowed)
+            slow = bf.brute_cover(weights, constraints, allowed)
+            assert fast.feasible == slow.feasible
+            if not fast.feasible:
+                continue
+            assert fast.value == slow.value
+            chosen = set(fast.vertices)
+            assert allowed is None or chosen <= allowed
+            assert all(len(chosen & c) >= k for c, k in constraints)
+            assert sum(weights[v] for v in chosen) == fast.value
+            if all(weights):  # positive weights: the exact tie-break
+                assert fast.vertices == slow.vertices
+
+    def test_reverse_delete_cover_is_not_the_witness(self):
+        # Reverse delete drops the dearest vertex 0 first, and keeps (1, 2):
+        # an optimum, but (0,) weighs as much and sorts first.  The search
+        # starts from the weight 2 only, and must still find (0,).
+        weights = [Fraction(2), Fraction(1), Fraction(1)]
+        constraints = [(frozenset({0, 2}), 1), (frozenset({0, 1}), 1)]
+        assert bf.brute_cover(weights, constraints).vertices == (0,)
+        sol = minimum_weight_cover(weights, constraints)
+        assert sol.vertices == (0,) and sol.value == 2
+
     def test_zero_weights_need_not_give_the_smallest_tie(self):
         # (0, 1, 3) weighs the same and sorts first, but the search only
         # adds candidates of unmet constraints, and 0 is none
@@ -433,6 +477,16 @@ class TestEngine:
             [Fraction(w) for w in (0, 1, 0, 1)], [(frozenset({1, 3}), 2)]
         )
         assert sol.vertices == (1, 3) and sol.value == 2
+
+
+class TestBounds:
+    def test_unit_8x8_grid_bands_fit_a_small_node_limit(self):
+        # the packing and reverse-delete bounds keep each band of the unit
+        # 8x8 triangulated grid under 2^17 nodes; with the single-constraint
+        # cut alone the bands need about 2M nodes
+        inst = gen_planar(8, 8, triangulate=True)
+        budget = SearchBudget(max_vertices=80, node_limit=2**17)
+        assert ptas_planar(inst, 1, budget).value == 48
 
 
 TRIANGLES = 600

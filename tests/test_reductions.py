@@ -279,6 +279,15 @@ class TestSplitGraphs:
         with pytest.raises(InputError):
             split_gamma_m(low, (0, 1, 2), (3,))  # vertex 3 has degree 1
 
+    def test_isolated_vertices_get_no_constraint(self):
+        # the documented small split graph plus the isolated vertices 4, 5
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+        sol = split_gamma_m(g, (0, 1, 2), (3, 4, 5))
+        assert sol == exact_gamma_m(Instance.make(g, demand=1))
+        assert sol.value == 3
+        edgeless = split_gamma_m(Graph.from_edges(3, []), (0,), (1, 2))
+        assert edgeless.vertices == () and edgeless.value == 0
+
     def test_independence_check_is_linear_in_the_independent_side(
         self, monkeypatch
     ):

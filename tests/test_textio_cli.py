@@ -559,6 +559,21 @@ class TestCli:
                 assert solved == infeasible, seed
         assert answered == 17
 
+    def test_split_answers_isolated_vertices_and_edgeless_files(self, capsys, tmp_path):
+        path = self.write(tmp_path, "edgeless.em", "p em 3 0\n")
+        empty = (0, "status feasible\nvalue 0\nset\n")
+        assert self.run(capsys, "solve", "--class", "split", "--in", path) == empty
+        # seeds 1 and 6 give feasible files with an isolated vertex
+        for seed in (1, 6):
+            self.run(
+                capsys, "generate", "--class", "split", "--clique", "4",
+                "--independent", "6", "--demand", "1", "--seed", str(seed),
+                "--out", path,
+            )
+            oracle = self.run(capsys, "oracle", "--in", path)
+            assert oracle[0] == 0 and "value 3\n" in oracle[1]
+            assert self.run(capsys, "solve", "--class", "split", "--in", path) == oracle
+
 
 # `--help` of the top-level parser and of each subcommand at COLUMNS=80.
 HELP_TEXTS = {
