@@ -208,9 +208,12 @@ def _solve_interval(doc: InstanceDocument) -> Solution:
 
 
 def _solve_cograph(doc: InstanceDocument) -> Solution:
-    tree = doc.cotree if doc.cotree is not None else cotree_build(doc.instance.graph)
-    if tree is None:
-        raise InputError("graph is not a cograph; supply a valid 't' line")
+    tree = doc.cotree
+    # a graph without vertices has no cotree; `solve_cograph` answers it
+    if tree is None and doc.instance.graph.n:
+        tree = cotree_build(doc.instance.graph)
+        if tree is None:
+            raise InputError("graph is not a cograph; supply a valid 't' line")
     return solve_cograph(doc.instance, tree)
 
 

@@ -304,11 +304,14 @@ def solve_cograph(inst: Instance, tree: Cotree | None = None) -> Solution:
     """Exact 1-uniform minimum-weight monitoring set of a cograph.
 
     A cotree certificate may be supplied; otherwise one is built from the
-    graph.  Non-1-uniform demands are out of contract for this recursion.
+    graph, unless it has no vertex: the empty set then answers, with
+    value 0.  Non-1-uniform demands are out of contract for this recursion.
     """
     if not inst.is_uniform(1):
         raise InputError("cograph recursion applies to 1-uniform demands only")
     if tree is None:
+        if not inst.graph.n:  # nothing to monitor, and no cotree to build
+            return Solution.of((), 0)
         tree = cotree_build(inst.graph)
         if tree is None:
             raise InputError("graph is not a cograph")

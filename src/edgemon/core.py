@@ -372,5 +372,6 @@ def domination_predicates(g: Graph, s: Iterable[int]) -> DominationPredicates:
 
 def feasibility_precheck(inst: Instance) -> bool:
     """True iff no edge demands more monitors than it has: taking every
-    vertex is feasible exactly when each demand fits its monitor set."""
-    return is_monitoring_set(inst, range(inst.graph.n))
+    vertex is feasible exactly when each demand fits its monitor set.
+    Reads `demand_checks` once and stops at the first miss."""
+    return all(len(mon) >= c for _, mon, c in demand_checks(inst))

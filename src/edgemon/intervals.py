@@ -110,17 +110,12 @@ less the endpoints.  Bits go by (cost, id), so an edge's worth is the
 cost of its c(e) lowest set bits, worked out only while its mask misses
 the family.
 
-The reverse delete starts from all vertices and visits them by the key
-`(-cost, number of demanded edges monitored, id)`, dropping a vertex when
-every edge it monitors keeps its demand.  Among equal weights the vertex
-that monitors fewer demanded edges goes first.  That tie-break is what
-makes the limit tight under unit weights: breaking ties by id alone lands
-2-3 above the optimum on unit-weight `gen_interval(80, demand=(0, 2))`
-and prunes far fewer states.  When even all vertices miss a demand,
-`_incumbent` returns None and `solve_interval` answers infeasible without
-the sweep, after checking the realization.  Otherwise the optimum
-survives, so an empty final table is a fault and the collapse check
-raises.
+The reverse delete is `oracle.reverse_delete`, which states its visiting
+order and why its tie-break keeps the limit tight under unit weights.
+When even all vertices miss a demand, `_incumbent` returns None and
+`solve_interval` answers infeasible without the sweep, after checking the
+realization.  Otherwise the optimum survives, so an empty final table is
+a fault and the collapse check raises.
 
 Endpoints of a realization must be pairwise distinct; user-supplied
 realizations with clashes are repaired by an order-preserving integer
@@ -149,6 +144,7 @@ from .core import (
     monitor_table,  # noqa: F401  unused here; edgebench's tracer hooks it
     normalize_edge,
 )
+from .oracle import reverse_delete
 
 
 @dataclass(frozen=True)
@@ -375,35 +371,10 @@ def _forget_rule(
 
 
 def _incumbent(inst: Instance) -> int | None:
-    """Integer weight of a monitoring set found by reverse delete, or None
-    when taking every vertex misses a demand.
-
-    One pass over `demand_checks` gives each demanded edge its slack (its
-    monitors minus its demand) and each vertex the demanded edges it
-    monitors.  Vertices are then visited heaviest first, ties going to the
-    one that monitors fewer demanded edges and then to the smaller id, and
-    a vertex is dropped when every edge it monitors keeps its demand."""
-    slack: list[int] = []
-    watched: list[list[int]] = [[] for _ in range(inst.graph.n)]
-    for _, mon, c in demand_checks(inst):
-        if len(mon) < c:
-            return None
-        i = len(slack)
-        for w in mon:
-            watched[w].append(i)
-        slack.append(len(mon) - c)
-    cost = inst.cost
-    left = sum(cost)
-    tight = {i for i, s in enumerate(slack) if not s}
-    order = sorted(range(inst.graph.n), key=lambda v: (-cost[v], len(watched[v]), v))
-    for v in order:
-        if tight.isdisjoint(watched[v]):
-            for i in watched[v]:
-                slack[i] -= 1
-                if not slack[i]:
-                    tight.add(i)
-            left -= cost[v]
-    return left
+    """Integer weight of a monitoring set found by `oracle.reverse_delete`
+    over the demanded edges' monitor sets, or None when taking every
+    vertex misses a demand."""
+    return reverse_delete(inst.cost, ((mon, c) for _, mon, c in demand_checks(inst)))
 
 
 def _sweep_masks(real: IntervalRealization, bit: list[int]) -> tuple[list[int], list[int]]:

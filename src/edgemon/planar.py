@@ -32,7 +32,7 @@ from .core import (
     Solution,
     _monitor_set,
     certify,
-    demand_checks,
+    feasibility_precheck,
     is_monitoring_set,  # noqa: F401  unused here; edgebench's tracer hooks it
     monitor_table,  # noqa: F401  unused here; edgebench's tracer hooks it
 )
@@ -131,10 +131,9 @@ def ptas_planar(
     """(k+2)/k-approximation with k = ceil(2/epsilon), per component.
 
     An edge with fewer monitors than its demand means no monitoring set
-    exists at all; one pass over `demand_checks`, which keeps nothing,
-    shows it.
-    Otherwise every band subproblem is feasible, each offset's union
-    monitors the whole component, and the cheapest offset is kept.
+    exists at all; `feasibility_precheck` shows it.  Otherwise every band
+    subproblem is feasible, each offset's union monitors the whole
+    component, and the cheapest offset is kept.
 
     A band that holds no vertex is not solved.  It has no constraint, and
     its padded region is one layer: the root, for the band before layer 0
@@ -149,7 +148,7 @@ def ptas_planar(
         raise InputError("epsilon must be positive")
     k = ceil(Fraction(2) / eps)
     g = inst.graph
-    if any(len(mon) < c for _, mon, c in demand_checks(inst)):
+    if not feasibility_precheck(inst):
         return Solution.infeasible()
     if g.n >= 3 and g.m > 3 * g.n - 6:
         warnings.warn("edge count exceeds the planar bound 3n-6", stacklevel=2)

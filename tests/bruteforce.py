@@ -75,6 +75,27 @@ def brute_cover(weights, constraints, allowed=None) -> Solution:
     )
 
 
+def reverse_delete(cost, constraints) -> int | None:
+    """Weight kept by reverse delete, by its definition: start from every
+    vertex, visit them by (-cost, number of constraints naming the vertex,
+    index), and drop a vertex when every constraint still meets its need
+    among the vertices kept, recounted from scratch.  None when even every
+    vertex misses a need."""
+    constraints = [(set(c), k) for c, k in constraints]
+
+    def covers(s: set[int]) -> bool:
+        return all(len(s & c) >= k for c, k in constraints)
+
+    kept = set(range(len(cost)))
+    if not covers(kept):
+        return None
+    named = [sum(v in c for c, _ in constraints) for v in kept]
+    for v in sorted(kept, key=lambda v: (-cost[v], named[v], v)):
+        if covers(kept - {v}):
+            kept.discard(v)
+    return sum(cost[v] for v in kept)
+
+
 def brute_alpha(g: Graph) -> int:
     best = 0
     for size in range(g.n, -1, -1):

@@ -8,7 +8,8 @@ lines.  Every run exits 0, 1, 2 or 3 without an exception, exact answers
 equal the oracle's, approximate ones lie within twice the optimum, and
 `verify` accepts every printed set.  A run that exits 2 or 3 must be one
 of the pinned refusals below, counted per class, so a change that closes
-a gap fails the sweep until its count is pinned again.
+a gap fails the sweep until its count is pinned again.  Three degenerate
+files go through the same commands, and each answer must be the oracle's.
 """
 
 import ast
@@ -120,6 +121,34 @@ def test_every_answer_matches_the_oracle_and_verifies(klass, tmp_path, capsys):
                 assert value == optimum, (path, command)
             _verify(capsys, path, out)
     assert refused == {key: n for key, n in REFUSALS.items() if key[0] == klass}
+
+
+# Files at the edge of the format: no vertex, no edge, and an edge that
+# no vertex can monitor.
+DEGENERATE = ("p em 0 0\n", "p em 1 0\n", "p em 2 1\ne 0 1 1\n")
+# Every command that solves a file; a degenerate file may meet only the
+# documented refusals, keyed by command.
+COMMANDS = (
+    ["solve"]
+    + [f"solve --class {k}" for k, c in cli.CLASSES.items() if c.exact]
+    + [f"approx --class {k} --epsilon 1" for k, c in cli.CLASSES.items() if c.scheme]
+)
+DEGENERATE_REFUSALS = {"solve --class interval": "error: interval solver needs"}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_degenerate_files_get_the_oracle_answer(command, tmp_path, capsys):
+    path = tmp_path / "tiny.em"
+    for text in DEGENERATE:
+        path.write_text(text)
+        expected = _run(capsys, "oracle", "--in", path)
+        assert expected[0] in (0, 1), (text, expected)
+        code, out, err = _run(capsys, *command.split(), "--in", path)
+        if code == 2 and command in DEGENERATE_REFUSALS:
+            assert err.startswith(DEGENERATE_REFUSALS[command]), (text, err)
+            continue
+        assert (code, out, err) == expected, text
+        _verify(capsys, path, out)
 
 
 # Sources of `reduce`: planar grids, as `generate` arguments.

@@ -36,6 +36,8 @@ from edgemon import (
     solve_band,
 )
 from edgemon.cli import main
+from edgemon.core import scaled_weights
+from edgemon.oracle import reverse_delete
 
 import bruteforce as bf
 
@@ -54,6 +56,29 @@ def random_graph(n: int, density_num: int, density_den: int, seed: int) -> Graph
 def random_weights(n: int, seed: int) -> list[Fraction]:
     rng = SplitMix64(seed)
     return [1 + Fraction(rng.below(9), 4) for _ in range(n)]
+
+
+def random_systems(seed: int):
+    """24 cover systems (weights, constraints, allowed): repeated candidate
+    sets, needs up to 3, `allowed` subsets, and zero, unit or rational
+    weights."""
+    rng = SplitMix64(seed + 7000)
+    for _ in range(24):
+        n = 1 + rng.below(8)
+        kind = rng.below(3)
+        weights = [
+            (Fraction(rng.below(2)), Fraction(1), 1 + Fraction(rng.below(9), 4))[kind]
+            for _ in range(n)
+        ]
+        sets = [frozenset(v for v in range(n) if rng.below(2)) for _ in range(3)]
+        constraints = [
+            (sets[rng.below(3)], rng.below(4)) for _ in range(rng.below(7))
+        ]
+        allowed = (
+            None if rng.below(2)
+            else {v for v in range(n) if rng.below(4)}
+        )
+        yield weights, constraints, allowed
 
 
 def witness_digest(vertices) -> str:
@@ -429,24 +454,7 @@ class TestEngine:
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_enumeration_on_random_systems(self, seed):
-        # 24 systems per seed, 600 in all: repeated candidate sets, needs up
-        # to 3, `allowed` subsets, and zero, unit or rational weights
-        rng = SplitMix64(seed + 7000)
-        for _ in range(24):
-            n = 1 + rng.below(8)
-            kind = rng.below(3)
-            weights = [
-                (Fraction(rng.below(2)), Fraction(1), 1 + Fraction(rng.below(9), 4))[kind]
-                for _ in range(n)
-            ]
-            sets = [frozenset(v for v in range(n) if rng.below(2)) for _ in range(3)]
-            constraints = [
-                (sets[rng.below(3)], rng.below(4)) for _ in range(rng.below(7))
-            ]
-            allowed = (
-                None if rng.below(2)
-                else {v for v in range(n) if rng.below(4)}
-            )
+        for weights, constraints, allowed in random_systems(seed):
             fast = minimum_weight_cover(weights, constraints, allowed)
             slow = bf.brute_cover(weights, constraints, allowed)
             assert fast.feasible == slow.feasible
@@ -459,6 +467,31 @@ class TestEngine:
             assert sum(weights[v] for v in chosen) == fast.value
             if all(weights):  # positive weights: the exact tie-break
                 assert fast.vertices == slow.vertices
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_reverse_delete_matches_its_definition(self, seed):
+        # the systems above, on integer costs over the allowed vertices
+        for weights, constraints, allowed in random_systems(seed):
+            pool = sorted(range(len(weights)) if allowed is None else allowed)
+            index = {v: i for i, v in enumerate(pool)}
+            cost, scale = scaled_weights([weights[v] for v in pool])
+            system = [
+                ([index[v] for v in sorted(c) if v in index], k) for c, k in constraints
+            ]
+            got = reverse_delete(cost, iter(system))
+            assert got == bf.reverse_delete(cost, system)
+            best = bf.brute_cover(weights, constraints, allowed)
+            assert (got is None) == (not best.feasible)
+            if got is not None:
+                assert Fraction(got, scale) >= best.value
+
+    def test_reverse_delete_breaks_cost_ties_by_constraint_count(self):
+        # 0 and 1 are each named once and go before 2, named twice, so 2
+        # alone is kept; dropping by descending index would drop 2 and keep
+        # 0 and 1
+        system = [({0, 2}, 1), ({1, 2}, 1)]
+        assert reverse_delete([1, 1, 1], system) == 1
+        assert bf.reverse_delete([1, 1, 1], system) == 1
 
     def test_reverse_delete_cover_is_not_the_witness(self):
         # Reverse delete drops the dearest vertex 0 first, and keeps (1, 2):
