@@ -34,14 +34,15 @@ zero-weight vertex no such constraint needs is never added, even where
 adding it would sort first: weights (0, 1, 0, 1) with the one constraint
 ({1, 3}, 2) give (1, 3), although (0, 1, 3) weighs the same.
 
-The one search that is not a cover is `exists_independent_set`.  An
-independent k-set exists iff a vertex cover of at most n - k vertices
-does, but a cover search branches over all n vertices, while the
-parameterized test for complete graphs asks for small k in graphs of
-hundreds of vertices.  Independent k-set is W[1]-hard (Downey and
-Fellows), so its search stays exponential in k; it visits only
-independent sets of fewer than k vertices, and stops at the first of size
-k, so it does not grow like 2^n.
+The one search that is not a cover is `exists_independent_set`, a public
+yes/no search and the reference the tests check the independent-set
+reduction against; the complete-graph solvers search their own levels
+(`complete._CliqueLevels`).  An independent k-set exists iff a vertex
+cover of at most n - k vertices does, but a cover search branches over
+all n vertices, while k may be small in a graph of hundreds of vertices.
+Independent k-set is W[1]-hard (Downey and Fellows), so its search stays
+exponential in k; it visits only independent sets of fewer than k
+vertices, and stops at the first of size k, so it does not grow like 2^n.
 """
 
 from __future__ import annotations

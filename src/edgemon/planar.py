@@ -119,8 +119,11 @@ def solve_band(
     g = inst.graph
     edges = sorted({(u, v) if u < v else (v, u) for u in band for v in g.adjacency[u]})
     constraints = [(_monitor_set(g, *e), c) for e in edges if (c := inst.demand(*e))]
+    # the search takes only candidates of constraints, so a region vertex
+    # that monitors no demanded band edge is never taken and is not counted
+    named = region.intersection(set().union(*(cand for cand, _ in constraints)))
     try:
-        return _cover(inst.cost, inst.scale, constraints, region, budget)
+        return _cover(inst.cost, inst.scale, constraints, named, budget)
     except BudgetExceeded as exc:
         raise BudgetExceeded(f"band region of {len(region)} vertices: {exc}") from exc
 
@@ -135,14 +138,8 @@ def ptas_planar(
     subproblem is feasible, each offset's union monitors the whole
     component, and the cheapest offset is kept.
 
-    A band that holds no vertex is not solved.  It has no constraint, and
-    its padded region is one layer: the root, for the band before layer 0
-    at offset 0, or the last layer, for a band past it.  The previous band
-    of the same offset holds the last layer in its region and is solved
-    first, so a region over the vertex budget is refused there, with the
-    same message.  Only a budget under one vertex refuses the root alone;
-    the next band's region, which holds the root, is then refused
-    instead, under its own size."""
+    A band that holds no vertex is not solved.  It has no constraint, so
+    it names no vertex that the budget counts, and its cover is empty."""
     eps = Fraction(epsilon)
     if eps <= 0:
         raise InputError("epsilon must be positive")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cographs import Cotree
-from .core import Edge, Graph, Instance, ParseError
+from .core import Edge, Graph, Instance, InputError, ParseError
 from .intervals import IntervalRealization
 
 
@@ -67,6 +67,7 @@ def parse_instance_text(text: str) -> InstanceDocument:
     demand: dict[Edge, int] = {}
     interval_rows: dict[int, tuple[int, int]] = {}
     cotree_text: str | None = None
+    cotree_line = 0
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
@@ -138,7 +139,7 @@ def parse_instance_text(text: str) -> InstanceDocument:
         elif tag == "t":
             if cotree_text is not None:
                 raise ParseError(line_no, "duplicate cotree line")
-            cotree_text = raw.strip()[1:].strip()
+            cotree_text, cotree_line = raw.strip()[1:].strip(), line_no
             if not cotree_text:
                 raise ParseError(line_no, "empty cotree expression")
         else:
@@ -170,9 +171,12 @@ def parse_instance_text(text: str) -> InstanceDocument:
 
     cotree = None
     if cotree_text is not None:
-        cotree = Cotree.from_expr(cotree_text)
+        try:
+            cotree = Cotree.from_expr(cotree_text)
+        except InputError as exc:
+            raise ParseError(cotree_line, str(exc)) from None
         if sorted(cotree.leaves()) != list(range(n)):
-            raise ParseError(1, "cotree leaves must be exactly 0..n-1")
+            raise ParseError(cotree_line, "cotree leaves must be exactly 0..n-1")
 
     return InstanceDocument(
         instance=instance,

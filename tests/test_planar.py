@@ -140,7 +140,8 @@ class TestSolveBand:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_the_cover_of_its_touching_edges(self, seed):
         # reference: the band's demanded edges in edge order, each with its
-        # monitors from the whole-graph table, covered inside the region
+        # monitors from the whole-graph table, covered by the region's
+        # vertices that monitor one of them
         rng = SplitMix64(seed + 40)
         checked = 0
         for _ in range(4):
@@ -160,9 +161,10 @@ class TestSolveBand:
                         for e, c in zip(inst.graph.edges, inst.demands)
                         if c and (e[0] in band or e[1] in band)
                     ]
+                    named = region & set().union(*(cand for cand, _ in constraints))
                     try:
                         want = minimum_weight_cover(
-                            inst.weights, constraints, allowed=region
+                            inst.weights, constraints, allowed=named
                         )
                     except BudgetExceeded as exc:
                         with pytest.raises(BudgetExceeded) as err:
@@ -286,8 +288,10 @@ class TestPtasPlanar:
     def test_skipping_empty_bands_changes_no_result(self, eps, max_vertices):
         budget = SearchBudget(max_vertices)
         outcomes = {"feasible": 0, "infeasible": 0, "refused": 0}
-        for rows in range(1, 6):
-            for cols in range(1, 6):
+        # bands count only the vertices their constraints name, so at 20
+        # vertices and epsilon 1 only the 5x6, 6x5 and 6x6 grids refuse
+        for rows in range(1, 7):
+            for cols in range(1, 7):
                 for seed in range(1, 5):
                     inst = gen_planar(
                         rows, cols, triangulate=seed != 4,
@@ -306,6 +310,15 @@ class TestPtasPlanar:
                     assert sol.vertices == (() if want is None else want)
                     assert sol.feasible == (want is not None)
         assert all(outcomes.values())
+
+    def test_the_budget_counts_only_the_vertices_a_band_names(self):
+        # a band region of 21 vertices, of which at most 20 monitor a
+        # demanded band edge; the answer is the one a 40-vertex budget gives
+        inst = gen_planar(6, 4, triangulate=True, demand=(0, 1), weight=(1, 4, 4), seed=0)
+        sol = ptas_planar(inst, 1)
+        assert sol == ptas_planar(inst, 1, SearchBudget(max_vertices=40))
+        assert sol.value == Fraction(117, 4)
+        assert sol.vertices == (1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 17, 18, 19, 22)
 
     def test_a_budget_under_one_vertex_still_refuses(self):
         inst = gen_planar(3, 3, triangulate=True, seed=1)

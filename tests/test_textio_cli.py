@@ -139,7 +139,24 @@ class TestParse:
             ('p em 2 1\ne 0 1 0\nt\n', 'line 3: empty cotree expression'),
             (
                 'p em 2 1\ne 0 1 0\nt (leaf 0)\n',
-                'line 1: cotree leaves must be exactly 0..n-1',
+                'line 3: cotree leaves must be exactly 0..n-1',
+            ),
+            # a malformed expression is reported at its t line
+            (
+                'p em 1 0\nt (leaf x)\n',
+                'line 2: cotree expression: leaf needs a vertex id',
+            ),
+            (
+                'p em 2 1\ne 0 1 0\nt (meet (leaf 0) (leaf 1))\n',
+                "line 3: unknown cotree node kind 'meet'",
+            ),
+            (
+                'p em 1 0\n# one child\nt (join (leaf 0))\n',
+                'line 3: internal cotree nodes need at least two children',
+            ),
+            (
+                'p em 1 0\nt (leaf 0) (leaf 1)\n',
+                'line 2: cotree expression: trailing tokens',
             ),
             ('p em 2 1\ne 0 1 1\ne 1 0 1\n', 'line 3: duplicate edge (0, 1)'),
             # each token converted once: the checks still read the values
