@@ -34,7 +34,9 @@ such as --demand, --weight, --blocks, --epsilon or --seeds), solution
 files with a token that is not a vertex id, files that are not UTF-8
 text, and a generator that cannot meet its constraints all exit 2.
 Values print as exact rationals in lowest terms.
-EM_BUDGET_VERTICES overrides the oracle's vertex budget.
+EM_BUDGET_VERTICES sets the vertex budget of every search that takes
+one: the oracle, the planar bands, solve --class split and bench's
+reference column.
 
 The argument parser is built once per process (`build_parser` is
 cached), and `main` can be called any number of times in one process:
@@ -154,6 +156,8 @@ def _parse_block_sizes(text: str) -> list[int]:
 
 def _parse_seed_range(text: str) -> range:
     lo, hi = (int(s) for s in text.split("..", 1))
+    if hi < lo:
+        raise ValueError("empty seed range")
     return range(lo, hi + 1)
 
 
@@ -405,10 +409,14 @@ def _cmd_bench(args) -> int:
         raise InputError(f"class {args.klass!r} has no approximation scheme")
     if args.epsilon is not None and args.epsilon <= 0:
         raise InputError("epsilon must be positive")
+    # every row's document is made before the header, so a bad --n exits 2 first
+    specs = [
+        dict(demand=(0, 2), weight=(1, 4, 4), seed=seed) | entry.bench(args.n)
+        for seed in args.seeds
+    ]
+    docs = [entry.make(argparse.Namespace(**spec)) for spec in specs]
     print("seed solver oracle ratio ms")
-    for seed in args.seeds:
-        spec = dict(demand=(0, 2), weight=(1, 4, 4), seed=seed) | entry.bench(args.n)
-        doc = entry.make(argparse.Namespace(**spec))
+    for seed, doc in zip(args.seeds, docs):
         started = time.perf_counter()
         sol = _solve(args.klass, doc, args.epsilon)
         elapsed = (time.perf_counter() - started) * 1000

@@ -53,8 +53,9 @@ def gamma_bounds(inst: Instance) -> tuple[int, int]:
     return cmax, cmax + 2
 
 
-# Search nodes a clique's level search may visit before it refuses: the
-# default node limit of `exists_independent_set`.
+# Search nodes one level search of a clique may visit before it refuses
+# (the count starts afresh at each level): the default node limit of
+# `exists_independent_set`.
 NODE_LIMIT = 1 << DOMINATION_BUDGET
 
 
@@ -119,7 +120,9 @@ class _CliqueLevels:
         sets of at most `cap` members (any size by default) that hold
         `force` when it is given; None when there is none.  A level must be
         strictly lighter than the smaller ones, so a smaller level wins
-        ties.  Raises BudgetExceeded past NODE_LIMIT search nodes."""
+        ties.  Levels C and C+1 may each visit NODE_LIMIT search nodes, so
+        a call may visit up to 2·NODE_LIMIT; BudgetExceeded is raised when
+        one level passes its limit."""
         s, cmax = len(self.cost), self.cmax
         if cmax > max(s - 2, 0):  # a demand above s - 2 has too few monitors
             return None

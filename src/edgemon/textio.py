@@ -67,7 +67,8 @@ def parse_instance_text(text: str) -> InstanceDocument:
     demand: dict[Edge, int] = {}
     interval_rows: dict[int, tuple[int, int]] = {}
     cotree_text: str | None = None
-    cotree_line = 0
+    # the lines whole-file checks name: the p line, the first i line, the t line
+    p_line = interval_line = cotree_line = 0
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
@@ -103,6 +104,7 @@ def parse_instance_text(text: str) -> InstanceDocument:
                 raise ParseError(line_no, "duplicate problem line")
             if len(parts) != 4 or parts[1] != "em":
                 raise ParseError(line_no, "expected 'p em <n> <m>'")
+            p_line = line_no
             n = _int(parts[2], line_no, "vertex count")
             m = _int(parts[3], line_no, "edge count")
             if n < 0 or m < 0:
@@ -136,6 +138,7 @@ def parse_instance_text(text: str) -> InstanceDocument:
             if a > b:
                 raise ParseError(line_no, f"reversed interval [{a}, {b}]")
             interval_rows[vid] = (a, b)
+            interval_line = interval_line or line_no
         elif tag == "t":
             if cotree_text is not None:
                 raise ParseError(line_no, "duplicate cotree line")
@@ -148,7 +151,7 @@ def parse_instance_text(text: str) -> InstanceDocument:
     if n is None:
         raise ParseError(1, "missing problem line 'p em <n> <m>'")
     if len(demand) != m:
-        raise ParseError(1, f"problem line promises {m} edges, found {len(demand)}")
+        raise ParseError(p_line, f"problem line promises {m} edges, found {len(demand)}")
     # the keys of `demand` are already distinct, normalized and in range
     graph = Graph._build(n, demand.keys())
     one = Fraction(1)
@@ -163,7 +166,8 @@ def parse_instance_text(text: str) -> InstanceDocument:
         missing = [v for v in range(n) if v not in interval_rows]
         if missing:
             raise ParseError(
-                1, f"interval lines must cover every vertex (missing {missing})"
+                interval_line,
+                f"interval lines must cover every vertex (missing {missing})",
             )
         realization = IntervalRealization(
             tuple(interval_rows[v] for v in range(n))

@@ -64,7 +64,7 @@ class TestParse:
             ("p em 2 1\nv 0 1/0\ne 0 1 1\n", 2),
             ("p em 2 2\ne 0 1 1\n", 1),
             ("p em 2 1\nq 0 1\n", 2),
-            ("p em 2 1\ni 0 0 5\ne 0 1 1\n", 1),
+            ("p em 2 1\ni 0 0 5\ne 0 1 1\n", 2),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line):
@@ -83,10 +83,15 @@ class TestParse:
             ('p em 2 1\nv 0 -3\ne 0 1 1\n', "line 2: negative weight '-3'"),
             ('p em 2 1\nv 0 1/0\ne 0 1 1\n', "line 2: bad weight '1/0'"),
             ('p em 2 2\ne 0 1 1\n', 'line 1: problem line promises 2 edges, found 1'),
+            # whole-file checks name the p line and the first i line
+            (
+                '# c\n# d\np em 2 2\ne 0 1 1\n',
+                'line 3: problem line promises 2 edges, found 1',
+            ),
             ('p em 2 1\nq 0 1\n', "line 2: unknown directive 'q'"),
             (
                 'p em 2 1\ni 0 0 5\ne 0 1 1\n',
-                'line 1: interval lines must cover every vertex (missing [1])',
+                'line 2: interval lines must cover every vertex (missing [1])',
             ),
             ('p em 2 1\ne x 1 1\n', "line 2: bad vertex id 'x'"),
             ('p em 2 1\ne 0 x 1\n', "line 2: bad vertex id 'x'"),
@@ -119,7 +124,7 @@ class TestParse:
             ('   \n\n', "line 1: missing problem line 'p em <n> <m>'"),
             (
                 'p em 2 1\ne 0 1 1\ni 0 0 5\n',
-                'line 1: interval lines must cover every vertex (missing [1])',
+                'line 3: interval lines must cover every vertex (missing [1])',
             ),
             (
                 'p em 2 1\ne 0 1 1\ni 0 5 0\ni 1 0 1\n',
@@ -307,6 +312,7 @@ class TestCli:
             ["approx", "--class", "complete", "--epsilon", "abc", "--in", "{k3}"],
             ["approx", "--class", "complete", "--epsilon", "1/0", "--in", "{k3}"],
             ["bench", "--class", "block", "--seeds", "3"],
+            ["bench", "--class", "block", "--seeds", "3..1"],
             ["--threads", "2", "oracle", "--in", "{k3}"],
             [
                 "generate", "--class", "split", "--clique", "3",
@@ -778,6 +784,11 @@ class TestClassTable:
         )
         out, err = capsys.readouterr()
         assert (code, out, err) == (2, "", "error: epsilon must be positive\n")
+
+    def test_bench_checks_n_before_the_header(self, capsys):
+        code = main(["bench", "--class", "complete", "--n", "0", "--seeds", "0..1"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", "error: n must be >= 1\n")
 
     def test_bench_epsilon_runs_the_scheme(self, capsys):
         argv = ["bench", "--class", "complete", "--epsilon", "1", "--seeds", "0..1"]
