@@ -409,7 +409,9 @@ def _cmd_bench(args) -> int:
         raise InputError(f"class {args.klass!r} has no approximation scheme")
     if args.epsilon is not None and args.epsilon <= 0:
         raise InputError("epsilon must be positive")
-    # every row's document is made before the header, so a bad --n exits 2 first
+    if args.n < 1:  # the block and planar rows would clamp it
+        raise InputError("n must be >= 1")
+    # every row's document is made before the header, so no refusal follows it
     specs = [
         dict(demand=(0, 2), weight=(1, 4, 4), seed=seed) | entry.bench(args.n)
         for seed in args.seeds

@@ -7,32 +7,38 @@ constraints.  A single branch-and-bound engine solves that form; the
 public wrappers just phrase their problem as constraints.
 
 The engine numbers its universe by (cost, id), so the lowest set bits of
-a vertex mask are its cheapest vertices.  Each node branches on the
-cheapest undecided candidate of the first constraint with the largest
-unmet residual, and two bounds cut it: one constraint's cheapest
-completion, or the summed completions of a family of constraints whose
-remaining candidates are pairwise disjoint, exceeds the slack below the
-incumbent weight.  The incumbent weight starts at that of a
-`reverse_delete` cover, for which no witness is stored
-(`minimum_weight_cover`).  The interval DP starts from the same
-`reverse_delete`.
+a vertex mask are its cheapest vertices.  A constraint's spare at a node
+is the number of its remaining candidates beyond its residual need.
+When some unmet constraint has no spare, every cover below the node holds
+all its remaining candidates, so the node takes those of every such
+constraint in one forced step (unit propagation, as in Davis, Logemann
+and Loveland, CACM 1962).  Otherwise the node branches on the cheapest
+remaining candidate of the last constraint with the least spare, where
+the fewest choices are left (fail-first, Haralick and Elliott, AIJ 1980).
+Two bounds cut a node: one constraint's cheapest completion, or the
+summed completions of a family of constraints whose remaining candidates
+are pairwise disjoint, exceeds the slack below the incumbent weight.  The
+incumbent weight starts at that of a `reverse_delete` cover, for which
+no witness is stored (`minimum_weight_cover`).  The interval DP starts
+from the same `reverse_delete`.
 
 Determinism: the search is a fixed function of its input, so golden
 values and witnesses are stable across runs.  The search is a loop over
-an explicit stack, so its depth, one level per vertex taken or dropped,
-meets no recursion limit.  Each node pushes its exclude branch under its
-include branch, so the include branch is searched to the end first: the
-nodes come in the order of a depth-first recursion, each sees the
-incumbent that recursion would, and node counts and witnesses are the
-same.  Under positive weights the witness is the lexicographically
+an explicit stack, so its depth, one level per branch or forced step,
+meets no recursion limit.  Each branching node pushes its exclude branch
+under its include branch, so the include branch is searched to the end
+first: the nodes come in the order of a depth-first recursion, each sees
+the incumbent that recursion would, and node counts and witnesses are
+the same.  Under positive weights the witness is the lexicographically
 smallest minimum-weight sorted vertex tuple: every minimum-weight set is
-minimal, no bound cuts its include/exclude path, so it is a leaf, and
-leaves of equal weight compare by their sorted vertex tuples whatever the
-branch order.  With zero weights the value is still the minimum, but the
-search only adds candidates of constraints that are still unmet, so a
-zero-weight vertex no such constraint needs is never added, even where
-adding it would sort first: weights (0, 1, 0, 1) with the one constraint
-({1, 3}, 2) give (1, 3), although (0, 1, 3) weighs the same.
+minimal and holds every vertex a forced step takes on its path, no bound
+cuts that path, so it is a leaf, and leaves of equal weight compare by
+their sorted vertex tuples whatever the branch order.  With zero weights
+the value is still the minimum, but the search only adds candidates of
+constraints that are still unmet, so a zero-weight vertex no such
+constraint needs is never added, even where adding it would sort first:
+weights (0, 1, 0, 1) with the one constraint ({1, 3}, 2) give (1, 3),
+although (0, 1, 3) weighs the same.
 
 The one search that is not a cover is `exists_independent_set`, a public
 yes/no search and the reference the tests check the independent-set
@@ -92,15 +98,21 @@ def minimum_weight_cover(
     of a constraint (the cost of its residual-many cheapest remaining
     candidates) is a few lowest-bit steps.  Constraints are deduplicated
     by candidate set when they are read: each set keeps its largest need,
-    at the position where that need first occurs.  A set's copies differ
-    only in their need, so the first constraint with the largest residual
-    still names the same set.  A constraint met at a node stays met below
-    it, so each node scans only its parent's still unmet constraints, in
-    their original order.
+    at the position where that need first occurs, since a copy with a
+    smaller need is met whenever that one is.  A constraint met at a node
+    stays met below it, so each node scans only its parent's still unmet
+    constraints, in their original order.
 
-    Each node branches on the cheapest undecided candidate of the first
-    constraint with the largest unmet residual: the include branch first,
-    then the exclude branch.  A node is cut when, against the slack left
+    The scan reads each unmet constraint's spare: its remaining
+    candidates minus its residual need.  If some constraint has no spare,
+    the node has one child, which takes the remaining candidates of every
+    such constraint: every cover below the node holds them, so no cover
+    is lost, and the child counts as one node.  Otherwise the node
+    branches on the cheapest remaining candidate of the last constraint in
+    scan order with the least spare: the include branch first, then the
+    exclude branch.  Since ties go by scan order, where a deduplicated
+    set sits shapes the search tree, but not the value, nor the witness
+    under positive weights.  A node is cut when, against the slack left
     below the incumbent weight,
     - one unmet constraint's cheapest completion exceeds the slack, or
     - the cheapest completions of a family of unmet constraints whose
@@ -121,11 +133,15 @@ def minimum_weight_cover(
     stored for it: until a leaf is held, a leaf of weight at most W is
     accepted.
     Under positive weights the witness is still the lexicographically
-    smallest minimum: such a set is minimal, its include/exclude path is
-    never cut, since disjoint completions sum to at most its remaining
-    weight, so it is a leaf, and equal-weight leaves compare by
-    `members(chosen) < members(best)` whatever the branch order.  With
-    zero weights only the value is guaranteed (see the module docstring).
+    smallest minimum S: S is a cover below every node on its path, so it
+    holds every vertex a forced step there takes, and the path takes the
+    forced child.  The path is never cut, since disjoint completions sum
+    to at most what S has still to pay.  It ends where no constraint is
+    unmet, and there the vertices taken form a cover inside S, which is
+    S itself because S is minimal.  So S is a leaf, and equal-weight
+    leaves compare by `members(chosen) < members(best)` whatever the
+    branch order.  With zero weights only the value is guaranteed (see
+    the module docstring).
 
     `constraints` is read once, after the vertex budget is checked, so a
     lazy iterable costs nothing on a refused instance.
@@ -199,15 +215,18 @@ def _cover(
         packed = 0  # the remaining candidates of the disjoint family
         packing = 0  # the sum of the family's cheapest completions
         still = []
-        worst_need = 0
-        worst_free = 0
+        forced = 0  # the remaining candidates of the constraints with no spare
+        # the least spare seen, and the remaining candidates of the last
+        # constraint with it
+        least, least_free = len(universe), 0
         for con in unmet:
             mask, need = con
             residual = need - (mask & chosen).bit_count()
             if residual <= 0:
                 continue
             remaining = mask & free
-            if remaining.bit_count() < residual:
+            spare = remaining.bit_count() - residual
+            if spare < 0:
                 break  # constraint can no longer be met on this branch
             if bounded:
                 # the cheapest completion: the residual lowest remaining
@@ -232,11 +251,21 @@ def _cover(
                         break  # the family's completions cost too much
                     packed |= remaining
             still.append(con)
-            if residual > worst_need:
-                worst_need, worst_free = residual, remaining
+            if not spare:
+                forced |= remaining
+            if spare <= least:
+                least, least_free = spare, remaining
         else:  # no constraint cut this node
-            if still:
-                low = worst_free & -worst_free
+            if forced:  # every cover below this node holds them: one step
+                c = 0
+                rest = forced
+                while rest:
+                    low = rest & -rest
+                    c += ucost[low.bit_length() - 1]
+                    rest ^= low
+                stack.append((chosen | forced, free ^ forced, w + c, free_w - c, still))
+            elif still:
+                low = least_free & -least_free
                 c = ucost[low.bit_length() - 1]
                 stack.append((chosen, free ^ low, w, free_w - c, still))
                 stack.append((chosen | low, free ^ low, w + c, free_w - c, still))

@@ -58,10 +58,13 @@ def random_weights(n: int, seed: int) -> list[Fraction]:
     return [1 + Fraction(rng.below(9), 4) for _ in range(n)]
 
 
-def random_systems(seed: int):
+def random_systems(seed: int, tight: bool = False):
     """24 cover systems (weights, constraints, allowed): repeated candidate
     sets, needs up to 3, `allowed` subsets, and zero, unit or rational
-    weights."""
+    weights.  When `tight`, each need is instead the number of its set's
+    allowed candidates, or one less, so the overlapping sets are left with
+    no spare candidate at the root or after one exclusion, and the search
+    takes forced steps."""
     rng = SplitMix64(seed + 7000)
     for _ in range(24):
         n = 1 + rng.below(8)
@@ -78,6 +81,9 @@ def random_systems(seed: int):
             None if rng.below(2)
             else {v for v in range(n) if rng.below(4)}
         )
+        if tight:
+            pool = range(n) if allowed is None else allowed
+            constraints = [(c, sum(v in pool for v in c) - k % 2) for c, k in constraints]
         yield weights, constraints, allowed
 
 
@@ -136,11 +142,12 @@ def _domination(oracle):
 
 
 def _repeated_candidate_set(budget):
-    # {1, 2} needs 2 only after {0, 1, 2} does, so {0, 1, 2} is branched on
-    # first; with the larger need moved to the front the search would take
-    # 5 nodes and return (1, 2)
-    m, n = frozenset({1, 2}), frozenset({0, 1, 2})
-    return minimum_weight_cover([Fraction(0)] * 3, [(m, 1), (n, 2), (m, 2)], budget=budget)
+    # {1, 2, 3} needs 2 only after {0, 1, 3} does, so it is scanned last.
+    # Both sets have one spare candidate, so the search branches on 1, the
+    # cheapest of {1, 2, 3}; kept at its first position the set would be
+    # scanned first, and the search would branch on 0 and take 4 nodes
+    m, n = frozenset({1, 2, 3}), frozenset({0, 1, 3})
+    return minimum_weight_cover([Fraction(1)] * 4, [(m, 1), (n, 2), (m, 2)], budget=budget)
 
 
 # Search trees, one fixed seed per generator class: builder of a solve, and
@@ -153,7 +160,7 @@ PINNED_TREES = {
     ),
     "block": (
         lambda: _gamma_m(gen_block_graph([4, 5, 4, 4, 5], demand=(0, 2), weight=W, seed=3)),
-        ("28", "b1e427e7b788681c", 203),
+        ("28", "b1e427e7b788681c", 53),
     ),
     "cograph": (
         lambda: _gamma_m(gen_cograph(18, demand=1, weight=W, seed=3)[0]),
@@ -161,20 +168,20 @@ PINNED_TREES = {
     ),
     "split": (
         lambda: _gamma_m(gen_split(6, 12, demand=1, seed=1, min_degree=2)),
-        ("5", "7c1953b9f06f1ff2", 25),
+        ("5", "7c1953b9f06f1ff2", 5),
     ),
     "interval": (
         lambda: _gamma_m(gen_interval(18, demand=(0, 2), weight=W, seed=1)[0]),
-        ("31/4", "9ac257ccc3ddf9fc", 169),
+        ("31/4", "9ac257ccc3ddf9fc", 65),
     ),
     "unit_disk": (
         lambda: _gamma_m(gen_unit_disk(18, box=5, demand=(0, 1), weight=W, seed=5)[0]),
-        ("53/4", "b08b20e65e3af0b0", 123),
+        ("53/4", "b08b20e65e3af0b0", 70),
     ),
-    "band": (lambda: _band_4x4(1), ("51/4", "5687a4aafb089391", 13)),
-    "gamma_t": (lambda: _domination(exact_gamma_t), ("13/4", "b2a7c750c2fc773e", 27)),
-    "double_dom": (lambda: _domination(exact_double_dom), ("8", "f3774d87e14a6554", 137)),
-    "repeated_set": (lambda: _repeated_candidate_set, ("0", "b31087bb07799231", 11)),
+    "band": (lambda: _band_4x4(1), ("51/4", "5687a4aafb089391", 17)),
+    "gamma_t": (lambda: _domination(exact_gamma_t), ("13/4", "b2a7c750c2fc773e", 20)),
+    "double_dom": (lambda: _domination(exact_double_dom), ("8", "f3774d87e14a6554", 45)),
+    "repeated_set": (lambda: _repeated_candidate_set, ("2", "63b51e9a6a3330e3", 7)),
 }
 
 
@@ -417,11 +424,11 @@ class TestPinnedWitnesses:
         assert got == PINNED_COGRAPH_DOMINATION[seed]
 
     def test_node_limit_is_exact(self):
-        # the search visits exactly 659 nodes, so one fewer is refused
+        # the search visits exactly 503 nodes, so one fewer is refused
         inst = gen_complete(10, demand=2, seed=1)
         with pytest.raises(BudgetExceeded):
-            exact_gamma_m(inst, budget=SearchBudget(node_limit=658))
-        sol = exact_gamma_m(inst, budget=SearchBudget(node_limit=659))
+            exact_gamma_m(inst, budget=SearchBudget(node_limit=502))
+        sol = exact_gamma_m(inst, budget=SearchBudget(node_limit=503))
         assert pin(sol) == ("4", "63dbe32229b625e9")
 
     @pytest.mark.parametrize("case", PINNED_TREES)
@@ -454,7 +461,8 @@ class TestEngine:
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_enumeration_on_random_systems(self, seed):
-        for weights, constraints, allowed in random_systems(seed):
+        systems = [*random_systems(seed), *random_systems(seed, tight=True)]
+        for weights, constraints, allowed in systems:
             fast = minimum_weight_cover(weights, constraints, allowed)
             slow = bf.brute_cover(weights, constraints, allowed)
             assert fast.feasible == slow.feasible
@@ -527,16 +535,27 @@ N = 3 * TRIANGLES
 TRIANGLE_EDGES = [
     e for v in range(0, N, 3) for e in ((v, v + 1), (v + 1, v + 2), (v, v + 2))
 ]
+# disjoint diamonds a, b, c, d (the triangles abc and bcd); only the shared
+# edge bc has a demand, met by a (weight 1) or d (weight 2)
+DIAMONDS = 1100
 
 
 class TestDeepSearch:
-    """Disjoint triangles take every vertex, and the search goes one level
-    deeper per vertex it takes: 1,800 levels, past the recursion limit."""
+    """Searches deeper than the recursion limit.  On disjoint diamonds the
+    search branches once per diamond, taking its vertex a: 1,100 levels.
+    Disjoint triangles take all 1,800 vertices in one forced step."""
 
     def test_exact_gamma_m(self):
-        g = Graph.from_edges(N, TRIANGLE_EDGES)
-        sol = exact_gamma_m(Instance.make(g), SearchBudget(max_vertices=2000))
-        assert sol.value == N and sol.vertices == tuple(range(N))
+        edges, demand = [], {}
+        for a in range(0, 4 * DIAMONDS, 4):
+            b, c, d = a + 1, a + 2, a + 3
+            for e in ((a, b), (a, c), (b, c), (b, d), (c, d)):
+                edges.append(e)
+                demand[e] = int(e == (b, c))
+        g = Graph.from_edges(4 * DIAMONDS, edges)
+        inst = Instance.make(g, demand=demand, weight=[1, 1, 1, 2] * DIAMONDS)
+        sol = exact_gamma_m(inst, SearchBudget(max_vertices=4 * DIAMONDS))
+        assert sol.value == DIAMONDS and sol.vertices == tuple(range(0, 4 * DIAMONDS, 4))
 
     def test_cli_oracle_answers_and_verifies(self, tmp_path, capsys):
         path = tmp_path / "triangles.em"

@@ -116,10 +116,20 @@ GATES = {
         (*CLI, "approx", "--class", "planar", "--epsilon", "1", "--in", "{in}"),
         ("value 70",), seconds=20, env={"EM_BUDGET_VERTICES": "80"},
     ),
+    "planar-grid12": Gate(
+        generate("--class", "planar", "--rows", "12", "--cols", "12", "--triangulate"),
+        (*CLI, "approx", "--class", "planar", "--epsilon", "1", "--in", "{in}"),
+        ("value 109",), seconds=10, env={"EM_BUDGET_VERTICES": "80"},
+    ),
     "oracle-600-triangles": Gate(
         triangles(600),
         (*CLI, "oracle", "--in", "{in}"),
         ("value 1800",), seconds=20, env={"EM_BUDGET_VERTICES": "5000"},
+    ),
+    "oracle-1200-triangles": Gate(
+        triangles(1200),
+        (*CLI, "oracle", "--in", "{in}"),
+        ("value 3600",), seconds=2, env={"EM_BUDGET_VERTICES": "5000"},
     ),
     "verify-100002-edges": Gate(
         triangles(33334, weights=("5/4", "3/4", "1/4")),

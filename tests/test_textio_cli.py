@@ -786,9 +786,10 @@ class TestClassTable:
         assert (code, out, err) == (2, "", "error: epsilon must be positive\n")
 
     def test_bench_checks_n_before_the_header(self, capsys):
-        code = main(["bench", "--class", "complete", "--n", "0", "--seeds", "0..1"])
-        out, err = capsys.readouterr()
-        assert (code, out, err) == (2, "", "error: n must be >= 1\n")
+        for klass in ("complete", "block", "planar"):
+            code = main(["bench", "--class", klass, "--n", "0", "--seeds", "0..1"])
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (2, "", "error: n must be >= 1\n"), klass
 
     def test_bench_epsilon_runs_the_scheme(self, capsys):
         argv = ["bench", "--class", "complete", "--epsilon", "1", "--seeds", "0..1"]
