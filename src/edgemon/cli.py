@@ -36,7 +36,7 @@ text, and a generator that cannot meet its constraints all exit 2.
 Values print as exact rationals in lowest terms.
 EM_BUDGET_VERTICES sets the vertex budget of every search that takes
 one: the oracle, the planar bands, solve --class split and bench's
-reference column.
+reference column; a value that is not a non-negative integer exits 2.
 
 The argument parser is built once per process (`build_parser` is
 cached), and `main` can be called any number of times in one process:
@@ -98,9 +98,12 @@ def _budget_from_env() -> SearchBudget | None:
     if raw is None:
         return None
     try:
-        return SearchBudget(max_vertices=int(raw))
+        vertices = int(raw)
     except ValueError:
         raise InputError(f"EM_BUDGET_VERTICES={raw!r} is not an integer") from None
+    if vertices < 0:
+        raise InputError(f"EM_BUDGET_VERTICES={raw!r} is negative")
+    return SearchBudget(max_vertices=vertices)
 
 
 def _read_document(path: str | None) -> InstanceDocument:

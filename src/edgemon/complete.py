@@ -54,8 +54,8 @@ def gamma_bounds(inst: Instance) -> tuple[int, int]:
 
 
 # Search nodes one level search of a clique may visit before it refuses
-# (the count starts afresh at each level): the default node limit of
-# `exists_independent_set`.
+# (the count starts afresh at each level): one per vertex subset of a
+# graph of DOMINATION_BUDGET vertices.
 NODE_LIMIT = 1 << DOMINATION_BUDGET
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 Edge = tuple[int, int]
 
@@ -263,12 +263,6 @@ class Solution:
         return "feasible" if self.feasible else "infeasible"
 
 
-class DominationPredicates(NamedTuple):
-    dominating: bool
-    total: bool
-    double: bool
-
-
 def _check_vertex_set(g: Graph, s: Iterable[int]) -> frozenset[int]:
     s = frozenset(s)
     for v in s:
@@ -358,16 +352,6 @@ def certify(
 def max_demand(inst: Instance) -> int:
     """Largest edge demand; 0 on edgeless graphs."""
     return max(inst.demands, default=0)
-
-
-def domination_predicates(g: Graph, s: Iterable[int]) -> DominationPredicates:
-    """(dominating, total, double): N[s]=V, every vertex has a neighbor in s,
-    and every vertex has at least two closed neighbors in s."""
-    s = _check_vertex_set(g, s)
-    dominating = all(v in s or g.neighbors(v) & s for v in range(g.n))
-    total = all(g.neighbors(v) & s for v in range(g.n))
-    double = all(len(g.closed_neighbors(v) & s) >= 2 for v in range(g.n))
-    return DominationPredicates(dominating, total, double)
 
 
 def feasibility_precheck(inst: Instance) -> bool:

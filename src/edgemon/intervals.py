@@ -263,59 +263,6 @@ def nice_path_decomposition(real: IntervalRealization) -> NicePathDecomposition:
     )
 
 
-def check_nice_path_decomposition(decomp: NicePathDecomposition) -> None:
-    """Raise InputError unless every definition invariant holds."""
-    g, real = decomp.graph, decomp.realization
-    if decomp.bags[0] or decomp.bags[-1]:
-        raise InputError("first and last bags must be empty")
-    if len(decomp.bags) != len(decomp.events) + 1:
-        raise InputError("bag/event length mismatch")
-    introduced: list[int] = []
-    forgotten: list[int] = []
-    for i, (kind, v) in enumerate(decomp.events):
-        prev, cur = decomp.bags[i], decomp.bags[i + 1]
-        if kind == "introduce":
-            if cur != prev | {v} or v in prev:
-                raise InputError(f"step {i + 1} is not a clean introduce")
-            introduced.append(v)
-        elif kind == "forget":
-            if cur != prev - {v} or v not in prev:
-                raise InputError(f"step {i + 1} is not a clean forget")
-            forgotten.append(v)
-        else:
-            raise InputError(f"unknown event kind {kind!r}")
-    if sorted(introduced) != list(range(g.n)) or sorted(forgotten) != list(range(g.n)):
-        raise InputError("every vertex must be introduced and forgotten once")
-    lefts = [real.intervals[v][0] for v in introduced]
-    rights = [real.intervals[v][1] for v in forgotten]
-    if lefts != sorted(lefts):
-        raise InputError("introduce order must follow left endpoints")
-    if rights != sorted(rights):
-        raise InputError("forget order must follow right endpoints")
-    for i, bag in enumerate(decomp.bags):
-        if not g.is_clique(bag):
-            raise InputError(f"bag {i} is not a clique")
-    covered = set()
-    for bag in decomp.bags:
-        bag_list = sorted(bag)
-        for a in range(len(bag_list)):
-            for b in range(a + 1, len(bag_list)):
-                covered.add((bag_list[a], bag_list[b]))
-    if set(g.edges) - covered:
-        raise InputError("some edge appears in no bag")
-    first_seen: dict[int, int] = {}
-    last_seen: dict[int, int] = {}
-    for i, bag in enumerate(decomp.bags):
-        for v in bag:
-            first_seen.setdefault(v, i)
-            last_seen[v] = i
-    for v in range(g.n):
-        span = last_seen[v] - first_seen[v] + 1
-        count = sum(1 for bag in decomp.bags if v in bag)
-        if count != span:
-            raise InputError(f"occurrences of vertex {v} are not contiguous")
-
-
 def representant(
     s: Iterable[int], i: int, decomp: NicePathDecomposition, cmax: int
 ) -> tuple[int, ...]:

@@ -1,10 +1,13 @@
-"""Exact baselines used as ground truth by every other solver.
+"""The exact baseline used as ground truth by every other solver.
 
-The monitoring, total-domination, double-domination and vertex-cover
-optima are all instances of one weighted multi-cover problem: pick a
-minimum-weight vertex set S meeting |S ∩ cand_j| >= need_j for a list of
-constraints.  A single branch-and-bound engine solves that form; the
-public wrappers just phrase their problem as constraints.
+Weighted edge monitoring is one weighted multi-cover problem: pick a
+minimum-weight vertex set S with |S ∩ M(e)| >= c(e) for every edge e,
+M(e) being the common neighbors of e's ends.  `minimum_weight_cover`
+solves that form for any list of (candidates, need) constraints with one
+branch-and-bound search, and `exact_gamma_m` phrases a monitoring
+instance as such constraints.  The planar bands and the split solver
+call the same search; the complete-graph solvers search their own levels
+(`complete._CliqueLevels`).
 
 The engine numbers its universe by (cost, id), so the lowest set bits of
 a vertex mask are its cheapest vertices.  A constraint's spare at a node
@@ -39,16 +42,6 @@ constraints that are still unmet, so a zero-weight vertex no such
 constraint needs is never added, even where adding it would sort first:
 weights (0, 1, 0, 1) with the one constraint ({1, 3}, 2) give (1, 3),
 although (0, 1, 3) weighs the same.
-
-The one search that is not a cover is `exists_independent_set`, a public
-yes/no search and the reference the tests check the independent-set
-reduction against; the complete-graph solvers search their own levels
-(`complete._CliqueLevels`).  An independent k-set exists iff a vertex
-cover of at most n - k vertices does, but a cover search branches over
-all n vertices, while k may be small in a graph of hundreds of vertices.
-Independent k-set is W[1]-hard (Downey and Fellows), so its search stays
-exponential in k; it visits only independent sets of fewer than k
-vertices, and stops at the first of size k, so it does not grow like 2^n.
 """
 
 from __future__ import annotations
@@ -59,7 +52,6 @@ from typing import Collection, Iterable, Sequence
 
 from .core import (
     BudgetExceeded,
-    Graph,
     Instance,
     Solution,
     demand_checks,
@@ -77,10 +69,6 @@ class SearchBudget:
 
     max_vertices: int = GAMMA_M_BUDGET
     node_limit: int | None = None
-
-
-def _default(budget: SearchBudget | None, max_vertices: int) -> SearchBudget:
-    return budget if budget is not None else SearchBudget(max_vertices=max_vertices)
 
 
 def minimum_weight_cover(
@@ -324,80 +312,3 @@ def exact_gamma_m(inst: Instance, budget: SearchBudget | None = None) -> Solutio
     # computes no monitor set
     constraints = ((mon, c) for _, mon, c in demand_checks(inst))
     return _cover(inst.cost, inst.scale, constraints, None, budget)
-
-
-def exact_gamma_t(
-    g: Graph, weights: Sequence[Fraction] | None = None,
-    budget: SearchBudget | None = None,
-) -> Solution:
-    """Minimum-weight total dominating set (every vertex has a neighbor in S)."""
-    budget = _default(budget, DOMINATION_BUDGET)
-    weights = (1,) * g.n if weights is None else tuple(weights)
-    constraints = [(g.neighbors(v), 1) for v in range(g.n)]
-    return minimum_weight_cover(weights, constraints, budget=budget)
-
-
-def exact_double_dom(
-    g: Graph, weights: Sequence[Fraction] | None = None,
-    budget: SearchBudget | None = None,
-) -> Solution:
-    """Minimum-weight double dominating set (two closed neighbors in S each)."""
-    budget = _default(budget, DOMINATION_BUDGET)
-    weights = (1,) * g.n if weights is None else tuple(weights)
-    constraints = [(g.closed_neighbors(v), 2) for v in range(g.n)]
-    return minimum_weight_cover(weights, constraints, budget=budget)
-
-
-def exists_independent_set(
-    g: Graph, k: int, budget: SearchBudget | None = None
-) -> tuple[bool, tuple[int, ...] | None]:
-    """Whether the graph has an independent set of size k, with a witness.
-
-    Depth-first include/exclude over ascending vertex ids on an explicit
-    stack, so the depth is not bounded by the recursion limit; the first
-    hit is the lexicographically smallest independent set of size k.  A
-    branch stops once too few candidates remain.  Each chosen prefix, the
-    empty one included, counts against `budget.node_limit`.  The default
-    of 2^DOMINATION_BUDGET nodes covers every graph of at most
-    DOMINATION_BUDGET vertices, which has no more independent sets than
-    that.  `max_vertices` does not apply here.
-    """
-    limit = 1 << DOMINATION_BUDGET if budget is None else budget.node_limit
-    if k <= 0:
-        return True, ()
-    if k > g.n:
-        return False, None
-    adj = [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
-    chosen: list[int] = []
-    # stack[i]: the candidates for chosen[i] not tried yet, each larger than
-    # chosen[i - 1] and adjacent to no earlier chosen vertex
-    stack: list[int] = []
-    cand = (1 << g.n) - 1
-    nodes = 0
-    while True:  # one pass per node, the prefix `chosen`
-        nodes += 1
-        if limit is not None and nodes > limit:
-            raise BudgetExceeded(f"node limit {limit} exhausted")
-        if len(chosen) == k:
-            return True, tuple(chosen)
-        stack.append(cand)
-        while stack and stack[-1].bit_count() < k - len(chosen):
-            stack.pop()
-            if chosen:
-                chosen.pop()
-        if not stack:
-            return False, None
-        low = stack[-1] & -stack[-1]
-        stack[-1] = cand = stack[-1] ^ low
-        v = low.bit_length() - 1
-        chosen.append(v)
-        cand &= ~adj[v]
-
-
-def exact_vertex_cover(g: Graph, budget: SearchBudget | None = None) -> Solution:
-    """Minimum-cardinality vertex cover: the cover engine on unit weights
-    with one ({u, v}, 1) constraint per edge, so the witness is the
-    lexicographically smallest minimum cover."""
-    budget = _default(budget, DOMINATION_BUDGET)
-    constraints = [(frozenset(e), 1) for e in g.edges]
-    return minimum_weight_cover((1,) * g.n, constraints, budget=budget)

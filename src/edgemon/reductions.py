@@ -45,11 +45,14 @@ def reduce_tds_to_em(g: Graph) -> Instance:
 def reduce_is_to_em(g: Graph, k: int) -> Instance:
     """Complete graph keeping demand k-1 on original edges and 0 elsewhere;
     a monitoring set of size <= k exists iff g has an independent set of
-    size k."""
+    size k.  g must be connected, and for k >= 2 have an edge: the image
+    of one vertex has no edge, so the empty set monitors it."""
     if k < 1:
         raise InputError("k must be at least 1")
     if len(g.connected_components()) != 1:
         raise InputError("source graph must be connected")
+    if k >= 2 and not g.edges:
+        raise InputError("source graph must have an edge when k >= 2")
     edges = [(a, b) for a in range(g.n) for b in range(a + 1, g.n)]
     original = set(g.edges)
     demand = {e: (k - 1 if e in original else 0) for e in edges}
@@ -69,9 +72,12 @@ def _two_color(g: Graph) -> bool:
 def reduce_bip_tds_to_comparability(g: Graph) -> Instance:
     """Add one universal vertex to a bipartite graph; the image is a
     comparability graph whose monitoring optimum is total domination of g
-    plus 1."""
+    plus 1.  g must have an edge: without one the image has no edge to
+    monitor, so its optimum is 0."""
     if any(not g.neighbors(v) for v in range(g.n)):
         raise InputError("source graph must have no isolated vertices")
+    if not g.edges:
+        raise InputError("source graph must have an edge")
     if not _two_color(g):
         raise InputError("source graph must be bipartite")
     hub = g.n

@@ -1,14 +1,36 @@
-"""Independent brute-force baselines for the test suite.
+"""Reference solvers and checkers for the test suite.
 
-Everything here enumerates subsets directly and recounts triangles or
-neighborhoods from the adjacency lists, on purpose sharing no search code
-with the package, so solver bugs and baseline bugs stay uncorrelated.
+Most of them enumerate subsets directly and recount triangles or
+neighborhoods from the adjacency lists, sharing no search code with the
+package, so solver bugs and reference bugs stay uncorrelated.
+
+The three references for the sources of the hardness reductions,
+`exact_gamma_t`, `exact_double_dom` and `exact_vertex_cover`, go through
+the package's cover engine on purpose: they phrase their problem as
+constraints for `minimum_weight_cover`, under a default budget of
+DOMINATION_BUDGET vertices.  Their search trees are pinned in
+`tests/test_oracle.py` (`PINNED_TREES`: gamma_t 20 nodes, double_dom 45;
+`PINNED_COGRAPH_DOMINATION`), and they test the engine on constraint
+systems the monitoring generators never produce: one constraint per
+vertex, over its open or closed neighborhood.  `test_oracle.py` checks
+them against the enumerations `brute_gamma_t`, `brute_double_dom` and
+`brute_alpha` below.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
-from edgemon import Graph, Instance, Solution
+from edgemon import (
+    Graph,
+    InputError,
+    Instance,
+    NicePathDecomposition,
+    SearchBudget,
+    Solution,
+    minimum_weight_cover,
+)
+from edgemon.oracle import DOMINATION_BUDGET
 
 
 def common_neighbors(g: Graph, u: int, v: int) -> set[int]:
@@ -191,3 +213,108 @@ def completion_bound(inst: Instance, real, worthiest_first: bool = False) -> lis
     return [sum(w for _, w in family)] + [
         sum(w for s, w in family if s > b) for b in ends
     ]
+
+
+def _domination_budget(budget: SearchBudget | None) -> SearchBudget:
+    return budget if budget is not None else SearchBudget(max_vertices=DOMINATION_BUDGET)
+
+
+def exact_gamma_t(g: Graph, weights=None, budget: SearchBudget | None = None) -> Solution:
+    """Minimum-weight total dominating set (every vertex has a neighbor in S)."""
+    weights = (1,) * g.n if weights is None else tuple(weights)
+    constraints = [(g.neighbors(v), 1) for v in range(g.n)]
+    return minimum_weight_cover(weights, constraints, budget=_domination_budget(budget))
+
+
+def exact_double_dom(g: Graph, weights=None, budget: SearchBudget | None = None) -> Solution:
+    """Minimum-weight double dominating set (two closed neighbors in S each)."""
+    weights = (1,) * g.n if weights is None else tuple(weights)
+    constraints = [(g.closed_neighbors(v), 2) for v in range(g.n)]
+    return minimum_weight_cover(weights, constraints, budget=_domination_budget(budget))
+
+
+def exact_vertex_cover(g: Graph, budget: SearchBudget | None = None) -> Solution:
+    """Minimum-cardinality vertex cover: the cover engine on unit weights
+    with one ({u, v}, 1) constraint per edge, so the witness is the
+    lexicographically smallest minimum cover."""
+    constraints = [(frozenset(e), 1) for e in g.edges]
+    return minimum_weight_cover((1,) * g.n, constraints, budget=_domination_budget(budget))
+
+
+def exists_independent_set(g: Graph, k: int) -> tuple[bool, tuple[int, ...] | None]:
+    """Whether g has an independent set of k vertices, with a witness.
+    `combinations` yields the k-sets in lexicographic order, so the
+    witness is the lexicographically smallest one."""
+    for combo in combinations(range(g.n), k):
+        if not any(g.has_edge(a, b) for a, b in combinations(combo, 2)):
+            return True, combo
+    return False, None
+
+
+class DominationPredicates(NamedTuple):
+    dominating: bool
+    total: bool
+    double: bool
+
+
+def domination_predicates(g: Graph, s) -> DominationPredicates:
+    """(dominating, total, double): N[s]=V, every vertex has a neighbor in s,
+    and every vertex has at least two closed neighbors in s."""
+    s = frozenset(s)
+    dominating = all(v in s or g.neighbors(v) & s for v in range(g.n))
+    total = all(g.neighbors(v) & s for v in range(g.n))
+    double = all(len(g.closed_neighbors(v) & s) >= 2 for v in range(g.n))
+    return DominationPredicates(dominating, total, double)
+
+
+def check_nice_path_decomposition(decomp: NicePathDecomposition) -> None:
+    """Raise InputError unless every definition invariant holds."""
+    g, real = decomp.graph, decomp.realization
+    if decomp.bags[0] or decomp.bags[-1]:
+        raise InputError("first and last bags must be empty")
+    if len(decomp.bags) != len(decomp.events) + 1:
+        raise InputError("bag/event length mismatch")
+    introduced: list[int] = []
+    forgotten: list[int] = []
+    for i, (kind, v) in enumerate(decomp.events):
+        prev, cur = decomp.bags[i], decomp.bags[i + 1]
+        if kind == "introduce":
+            if cur != prev | {v} or v in prev:
+                raise InputError(f"step {i + 1} is not a clean introduce")
+            introduced.append(v)
+        elif kind == "forget":
+            if cur != prev - {v} or v not in prev:
+                raise InputError(f"step {i + 1} is not a clean forget")
+            forgotten.append(v)
+        else:
+            raise InputError(f"unknown event kind {kind!r}")
+    if sorted(introduced) != list(range(g.n)) or sorted(forgotten) != list(range(g.n)):
+        raise InputError("every vertex must be introduced and forgotten once")
+    lefts = [real.intervals[v][0] for v in introduced]
+    rights = [real.intervals[v][1] for v in forgotten]
+    if lefts != sorted(lefts):
+        raise InputError("introduce order must follow left endpoints")
+    if rights != sorted(rights):
+        raise InputError("forget order must follow right endpoints")
+    for i, bag in enumerate(decomp.bags):
+        if not g.is_clique(bag):
+            raise InputError(f"bag {i} is not a clique")
+    covered = set()
+    for bag in decomp.bags:
+        bag_list = sorted(bag)
+        for a in range(len(bag_list)):
+            for b in range(a + 1, len(bag_list)):
+                covered.add((bag_list[a], bag_list[b]))
+    if set(g.edges) - covered:
+        raise InputError("some edge appears in no bag")
+    first_seen: dict[int, int] = {}
+    last_seen: dict[int, int] = {}
+    for i, bag in enumerate(decomp.bags):
+        for v in bag:
+            first_seen.setdefault(v, i)
+            last_seen[v] = i
+    for v in range(g.n):
+        span = last_seen[v] - first_seen[v] + 1
+        count = sum(1 for bag in decomp.bags if v in bag)
+        if count != span:
+            raise InputError(f"occurrences of vertex {v} are not contiguous")

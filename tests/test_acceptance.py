@@ -10,18 +10,24 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
-from bruteforce import reversed_ids
+import pytest
+
+from bruteforce import (
+    domination_predicates,
+    exact_double_dom,
+    exact_gamma_t,
+    exact_vertex_cover,
+    exists_independent_set,
+    reversed_ids,
+)
 from edgemon import (
     GenerationError,
     Graph,
+    InputError,
     Instance,
     SplitMix64,
     block_cut_tree,
-    domination_predicates,
-    exact_double_dom,
     exact_gamma_m,
-    exact_gamma_t,
-    exists_independent_set,
     feasibility_precheck,
     gamma_t_cograph,
     gen_block_graph,
@@ -281,9 +287,10 @@ def test_c09_reduction_relations():
                 for k in range(1, 5):
                     if n == 1 and k > 1:
                         # edgeless single-vertex source: the image has no
-                        # demands at all, so the empty set monitors while no
-                        # independent set of size k exists; outside the
-                        # construction's argument, which needs an edge
+                        # demands at all, so the empty set would monitor
+                        # while no independent set of size k exists
+                        with pytest.raises(InputError):
+                            reduce_is_to_em(g, k)
                         continue
                     image = reduce_is_to_em(g, k)
                     mon = monitor_table(image)
@@ -307,8 +314,6 @@ def test_c09_reduction_relations():
         for src, n_i in ((Graph.from_edges(2, [(0, 1)]), 1),
                          (Graph.from_edges(3, [(0, 1), (1, 2)]), 1)):
             image, _ = reduce_planar_vc_to_udg(src, n_i)
-            from edgemon import exact_vertex_cover
-
             expected = exact_vertex_cover(src).value + src.m * (5 * n_i + 2)
             assert exact_gamma_m(image, budget=budget).value == expected
 

@@ -10,6 +10,9 @@ equal the oracle's, approximate ones lie within twice the optimum, and
 of the pinned refusals below, counted per class, so a change that closes
 a gap fails the sweep until its count is pinned again.  Three degenerate
 files go through the same commands, and each answer must be the oracle's.
+Each `reduce` image is solved and verified, and its optimum must stand in
+the relation its header states to the source's optimum, which the
+references in `tests/bruteforce.py` compute.
 """
 
 import ast
@@ -19,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+import bruteforce as bf
 from edgemon import cli, parse_instance_text
 from edgemon.cli import main
 
@@ -151,16 +155,35 @@ def test_degenerate_files_get_the_oracle_answer(command, tmp_path, capsys):
         _verify(capsys, path, out)
 
 
-# Sources of `reduce`: planar grids, as `generate` arguments.
+# Sources of `reduce`: planar grids, as `generate` arguments, and two
+# literal files with no edge.
 SOURCES = {
     "path": ("--rows", "1", "--cols", "3"),
     "grid": ("--rows", "3", "--cols", "3"),
     "triangulated": ("--rows", "3", "--cols", "3", "--triangulate"),
+    "no vertex": "p em 0 0\n",
+    "one vertex": "p em 1 0\n",
 }
 REDUCE_REFUSALS = {
+    ("tds", "one vertex"): "error: source graph must have no isolated vertices",
+    ("is", "no vertex"): "error: source graph must be connected",
+    ("is", "one vertex"): "error: source graph must have an edge when k >= 2",
     ("comparability", "triangulated"): "error: source graph must be bipartite",
+    ("comparability", "no vertex"): "error: source graph must have an edge",
+    ("comparability", "one vertex"): "error: source graph must have no isolated vertices",
     ("udg", "grid"): "error: source graph must have maximum degree 3",
     ("udg", "triangulated"): "error: source graph must have maximum degree 3",
+}
+# The relation each kind's header states, as the image's optimum (None
+# when infeasible) against the moved references on the source graph g,
+# under `reduce`'s defaults --k 2 and --chain 1.
+RELATIONS = {
+    "tds": lambda g, value: value == bf.exact_gamma_t(g).value + 3,
+    "is": lambda g, value: (
+        (value is not None and value <= 2) == bf.exists_independent_set(g, 2)[0]
+    ),
+    "comparability": lambda g, value: value == bf.exact_gamma_t(g).value + 1,
+    "udg": lambda g, value: value == bf.exact_vertex_cover(g).value + 7 * g.m,
 }
 
 
@@ -170,15 +193,20 @@ def test_every_reduction_image_is_solved_and_verified(
     kind, source, tmp_path, capsys
 ):
     src, image = tmp_path / "source.em", tmp_path / "image.em"
-    _run(capsys, "generate", "--class", "planar", *SOURCES[source], "--out", src)
+    if isinstance(SOURCES[source], str):
+        src.write_text(SOURCES[source])
+    else:
+        _run(capsys, "generate", "--class", "planar", *SOURCES[source], "--out", src)
     code, _, err = _run(capsys, "reduce", "--kind", kind, "--in", src, "--out", image)
     if (kind, source) in REDUCE_REFUSALS:
         assert code == 2 and err.startswith(REDUCE_REFUSALS[kind, source])
         return
     assert code == 0, err
     code, out, _ = _run(capsys, "oracle", "--in", image)
-    assert _value(image, code, out) is not None
+    value = _value(image, code, out)
     _verify(capsys, image, out)
+    g = parse_instance_text(src.read_text()).instance.graph
+    assert RELATIONS[kind](g, value)
 
 
 def test_no_assert_statements_in_the_package():

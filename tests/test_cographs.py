@@ -14,9 +14,7 @@ from edgemon import (
     Instance,
     SplitMix64,
     cotree_build,
-    domination_predicates,
     exact_gamma_m,
-    exact_gamma_t,
     gamma_t_cograph,
     gen_cograph,
     is_monitoring_set,
@@ -24,6 +22,7 @@ from edgemon import (
 )
 
 import bruteforce as bf
+from bruteforce import domination_predicates, exact_gamma_t
 
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 K4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])

