@@ -86,6 +86,7 @@ from .reductions import (
     split_partition,
 )
 from .textio import InstanceDocument, format_instance_text, parse_instance_text
+from .textio import text_lines
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -333,14 +334,11 @@ def _cmd_oracle(args) -> int:
 
 def _parse_solution_file(text: str) -> tuple[int, ...]:
     ids: list[int] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith(("#", "status", "value")):
+    for line_no, raw in enumerate(text_lines(text), 1):
+        parts = raw.split()
+        if not parts or parts[0].startswith(("#", "status", "value")):
             continue
-        parts = line.split()
-        if parts[0] == "set":
-            parts = parts[1:]
-        for token in parts:
+        for token in parts[1:] if parts[0] == "set" else parts:
             try:
                 ids.append(int(token))
             except ValueError:

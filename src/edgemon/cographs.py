@@ -170,7 +170,7 @@ class Cotree:
             head = tokens[pos]
             pos += 1
             if head == "leaf":
-                if pos >= len(tokens) or not tokens[pos].lstrip("-").isdigit():
+                if pos >= len(tokens) or not tokens[pos].removeprefix("-").isdecimal():
                     raise InputError("cotree expression: leaf needs a vertex id")
                 v = int(tokens[pos])
                 pos += 1

@@ -16,9 +16,9 @@ is safe.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Callable, Collection, Iterable, Iterator, Mapping
 
@@ -159,8 +159,10 @@ def components(
 class Instance:
     """A graph with per-edge demands and per-vertex rational weights.
 
-    `demands[i]` is the demand of `graph.edges[i]`; use `demand(u, v)` for
-    keyed access.  Weights default to 1 everywhere.  `cost` and `scale` are
+    `demands[i]` is the demand of `graph.edges[i]`; `demand(u, v)` finds
+    one edge's demand by bisection in the sorted `graph.edges`, and keeps
+    no table for it (the solvers read `demands` or `demand_checks`).
+    Weights default to 1 everywhere.  `cost` and `scale` are
     derived from the weights when the instance is built, with
     `weights[v] == Fraction(cost[v], scale)`.
     """
@@ -184,12 +186,6 @@ class Instance:
             raise InputError("weights must be non-negative")
         object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "scale", scale)
-
-    @cached_property
-    def _edge_index(self) -> dict[Edge, int]:
-        """Position of each edge in `graph.edges`, built on the first
-        `demand(u, v)` call; `planar.solve_band` reads demands through it."""
-        return {e: i for i, e in enumerate(self.graph.edges)}
 
     @staticmethod
     def make(graph: Graph, demand=1, weight=1) -> "Instance":
@@ -219,10 +215,10 @@ class Instance:
 
     def demand(self, u: int, v: int) -> int:
         e = normalize_edge(u, v)
-        idx = self._edge_index.get(e)
-        if idx is None:
+        i = bisect_left(self.graph.edges, e)
+        if self.graph.edges[i : i + 1] != (e,):
             raise InputError(f"unknown edge {e}")
-        return self.demands[idx]
+        return self.demands[i]
 
     def demand_map(self) -> dict[Edge, int]:
         return dict(zip(self.graph.edges, self.demands))
@@ -263,32 +259,18 @@ class Solution:
         return "feasible" if self.feasible else "infeasible"
 
 
-def _check_vertex_set(g: Graph, s: Iterable[int]) -> frozenset[int]:
-    s = frozenset(s)
-    for v in s:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} out of range")
-    return s
-
-
-def _monitor_set(g: Graph, u: int, v: int) -> frozenset[int]:
-    """M(uv): the common neighbors of u and v (neither endpoint is one,
-    since graphs have no loops)."""
-    return g.adjacency[u] & g.adjacency[v]
-
-
 def monitors(g: Graph, e: tuple[int, int]) -> tuple[int, ...]:
     """The vertices forming a triangle with edge e, in ascending order."""
     u, v = normalize_edge(*e)
     if not g.has_edge(u, v):
         raise InputError(f"unknown edge {(u, v)}")
-    return tuple(sorted(_monitor_set(g, u, v)))
+    return tuple(sorted(g.adjacency[u] & g.adjacency[v]))
 
 
 def monitor_table(inst: Instance) -> dict[Edge, frozenset[int]]:
     """Monitor sets of all edges, precomputed once for solver loops."""
-    g = inst.graph
-    return {(u, v): _monitor_set(g, u, v) for u, v in g.edges}
+    adj = inst.graph.adjacency
+    return {(u, v): adj[u] & adj[v] for u, v in inst.graph.edges}
 
 
 def demand_checks(
@@ -309,14 +291,16 @@ def demand_checks(
     for e, c in zip(inst.graph.edges, inst.demands):
         if c:
             u, v = e
-            # `_monitor_set` inline: a call per edge would slow every `certify`
             yield e, adj[u] & adj[v], c
 
 
 def deficits(inst: Instance, s: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """(u, v, need, have) for every edge uv with fewer than c(uv) monitors
     inside s, in edge order, read from `demand_checks` within s."""
-    s = _check_vertex_set(inst.graph, s)
+    s = frozenset(s)
+    for v in s:
+        if not (0 <= v < inst.graph.n):
+            raise InputError(f"vertex {v} out of range")
     for (u, v), mon, c in demand_checks(inst, s):
         if len(mon) < c:
             yield u, v, c, len(mon)

@@ -11,10 +11,10 @@ is unaffected while worst-case polynomiality is given up.  Planarity
 itself is trusted, with an edge-count sanity warning.
 
 `solve_band` is the one band solver; the sweep calls it for each band
-that holds a vertex.  It builds the band's constraints for the edges that
-touch the band alone, each monitor set from the kernel
-(`core._monitor_set`) and each demand from `Instance.demand`, so no table
-of the whole graph is kept.
+that holds a vertex.  The sweep reads the kernel (`core.demand_checks`)
+once and files each demanded edge's constraint under both its ends
+(`vertex_rows`), so a band's constraints are its vertices' rows, at the
+cost of the band alone.
 """
 
 from __future__ import annotations
@@ -25,14 +25,13 @@ from fractions import Fraction
 from math import ceil
 from typing import Iterable, Sequence
 
+from . import core
 from .core import (
     Graph,
     InputError,
     Instance,
     Solution,
-    _monitor_set,
     certify,
-    feasibility_precheck,
     is_monitoring_set,  # noqa: F401  unused here; edgebench's tracer hooks it
     monitor_table,  # noqa: F401  unused here; edgebench's tracer hooks it
 )
@@ -101,24 +100,40 @@ def _bfs_levels(g: Graph, root: int) -> tuple[dict[int, int], list[list[int]]]:
     return level, layers
 
 
+Row = tuple[int, frozenset[int], int]
+
+
+def vertex_rows(inst: Instance) -> list[list[Row]]:
+    """rows[v] holds (i, monitors, demand) for each edge at v of positive
+    demand, in edge order, i being the edge's rank among those edges.  One
+    kernel pass builds every row, and an edge's two ends share its row.
+    The kernel is read through the `core` module, so a wrapper bound there
+    (a tracer, a counting test) sees the pass."""
+    rows: list[list[Row]] = [[] for _ in range(inst.graph.n)]
+    for i, ((u, v), mon, c) in enumerate(core.demand_checks(inst)):
+        rows[u].append(row := (i, mon, c))
+        rows[v].append(row)
+    return rows
+
+
 def solve_band(
     inst: Instance,
     band: frozenset[int],
     region: frozenset[int],
+    rows: Sequence[Sequence[Row]],
     budget: SearchBudget | None = None,
 ) -> Solution:
     """Exact cheapest set inside `region` covering every demand on edges
     that touch `band`; edges entirely outside the band are ignored.
 
-    The band's edges are read from its vertices' adjacency and sorted, so
-    the constraints come in edge order, as the zero-weight tie-break
-    needs, at the cost of the band alone."""
+    The constraints are the union of the band vertices' `rows` (from
+    `vertex_rows(inst)`), each edge once and in edge order, as the
+    zero-weight tie-break needs, at the cost of the band alone."""
     band, region = frozenset(band), frozenset(region)
     if not band <= region:
         raise InputError("band must be contained in its region")
-    g = inst.graph
-    edges = sorted({(u, v) if u < v else (v, u) for u in band for v in g.adjacency[u]})
-    constraints = [(_monitor_set(g, *e), c) for e in edges if (c := inst.demand(*e))]
+    touching = {i: (mon, c) for v in band for i, mon, c in rows[v]}
+    constraints = [touching[i] for i in sorted(touching)]
     # the search takes only candidates of constraints, so a region vertex
     # that monitors no demanded band edge is never taken and is not counted
     named = region.intersection(set().union(*(cand for cand, _ in constraints)))
@@ -133,10 +148,11 @@ def ptas_planar(
 ) -> Solution:
     """(k+2)/k-approximation with k = ceil(2/epsilon), per component.
 
-    An edge with fewer monitors than its demand means no monitoring set
-    exists at all; `feasibility_precheck` shows it.  Otherwise every band
-    subproblem is feasible, each offset's union monitors the whole
-    component, and the cheapest offset is kept.
+    The bands read their constraints from one `vertex_rows` pass.  A row
+    with fewer monitors than its demand means no monitoring set exists at
+    all, so the answer is infeasible.  Otherwise every band subproblem is
+    feasible, each offset's union monitors the whole component, and the
+    cheapest offset is kept.
 
     A band that holds no vertex is not solved.  It has no constraint, so
     it names no vertex that the budget counts, and its cover is empty."""
@@ -145,7 +161,8 @@ def ptas_planar(
         raise InputError("epsilon must be positive")
     k = ceil(Fraction(2) / eps)
     g = inst.graph
-    if not feasibility_precheck(inst):
+    rows = vertex_rows(inst)
+    if any(len(mon) < c for row in rows for _, mon, c in row):
         return Solution.infeasible()
     if g.n >= 3 and g.m > 3 * g.n - 6:
         warnings.warn("edge count exceeds the planar bound 3n-6", stacklevel=2)
@@ -155,8 +172,7 @@ def ptas_planar(
     for comp in g.connected_components():
         layers = _layers(g, comp[0])
         depth = len(layers) - 1
-        best_w: int | None = None
-        best_set: set[int] | None = None
+        offsets: list[tuple[int, set[int]]] = []
         for offset in range(k):
             picked: set[int] = set()
             covered: set[int] = set()
@@ -165,17 +181,15 @@ def ptas_planar(
                 band = _union(layers, start, start + k - 1)
                 region = _union(layers, start - 1, start + k)
                 covered |= band
-                if not band:
-                    continue
-                sol = solve_band(inst, band, region, budget)
-                picked.update(sol.vertices)
+                if band:
+                    picked.update(solve_band(inst, band, region, rows, budget).vertices)
             if covered != set(comp):
                 raise RuntimeError("planar sweep: bands of one offset miss a layer")
-            w = sum(inst.cost[v] for v in picked)
-            if best_w is None or w < best_w:
-                best_w, best_set = w, picked
-        total += best_w
-        witness |= best_set
+            offsets.append((sum(inst.cost[v] for v in picked), picked))
+        # the first offset of least weight
+        w, picked = min(offsets, key=lambda t: t[0])
+        total += w
+        witness |= picked
 
     # every band is feasible (checked above), so a miss is a solver fault
     return certify(inst, witness, total, "planar sweep")

@@ -58,6 +58,15 @@ def _int(token: str, line_no: int, what: str) -> int:
         raise ParseError(line_no, f"bad {what} {token!r}") from None
 
 
+def text_lines(text: str) -> list[str]:
+    """The lines of `text`, ended only at \\n, \\r\\n and \\r, the line ends
+    that universal newlines reads; `str.splitlines` would also end a line
+    inside a comment at \\x0b, \\x0c, \\x1c-\\x1e, \\x85, U+2028 or U+2029."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def parse_instance_text(text: str) -> InstanceDocument:
     n = m = None
     comments: list[str] = []
@@ -70,7 +79,7 @@ def parse_instance_text(text: str) -> InstanceDocument:
     # the lines whole-file checks name: the p line, the first i line, the t line
     p_line = interval_line = cotree_line = 0
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text_lines(text), start=1):
         parts = raw.split()
         if not parts:
             continue

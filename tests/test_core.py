@@ -287,3 +287,16 @@ class TestInstanceModel:
         inst = Instance.make(K2, weight=["1/3", 2])
         assert inst.weights == (Fraction(1, 3), Fraction(2))
         assert inst.weight_of([0, 1]) == Fraction(7, 3)
+
+    def test_keyed_demand_reads_either_orientation(self):
+        demand = {e: i + 1 for i, e in enumerate(BOWTIE.edges)}
+        inst = Instance.make(BOWTIE, demand=demand)
+        for (u, v), c in demand.items():
+            assert inst.demand(u, v) == inst.demand(v, u) == c
+
+    @pytest.mark.parametrize("pair", [(0, 3), (4, 1), (3, 2), (7, 9), (1, 1)])
+    def test_keyed_demand_refuses_a_non_edge(self, pair):
+        # (3, 2) sorts after the last edge (1, 2), (0, 3) between two edges
+        g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
+        with pytest.raises(InputError):
+            Instance.make(g, demand=2).demand(*pair)

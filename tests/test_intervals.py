@@ -435,11 +435,9 @@ class TestSolveInterval:
     @pytest.mark.parametrize("seed", range(6))
     def test_sweep_masks_give_monitor_sets(self, seed):
         # the monitors of each edge, read through the ranks by (cost, id)
-        # with zero weights tying, equal core._monitor_set; realizations
-        # are generated, coarsened so endpoints are shared or touch, and
+        # with zero weights tying, equal core.monitors; realizations are
+        # generated, coarsened so endpoints are shared or touch, and
         # normalized
-        from edgemon.core import _monitor_set
-
         reals = [
             IntervalRealization(((0, 4), (4, 8), (0, 8), (2, 2), (8, 8), (3, 6))),
         ]
@@ -464,7 +462,7 @@ class TestSolveInterval:
                 mon = opened[u] & opened[v] & closing[u] & closing[v]
                 mon &= ~(bit[u] | bit[v])
                 got = {w for r, w in enumerate(ranked) if mon >> r & 1}
-                assert got == _monitor_set(g, u, v)
+                assert got == set(monitors(g, (u, v)))
 
     @pytest.mark.parametrize("lengths", ["random", "unit"])
     def test_incumbent_bounds_the_optimum(self, lengths):

@@ -29,6 +29,7 @@ from edgemon import (
     minimum_weight_cover,
     ptas_planar,
     solve_band,
+    vertex_rows,
 )
 from edgemon.cli import main
 from edgemon.core import scaled_weights
@@ -135,7 +136,8 @@ def _band_4x4(seed):
     inst = gen_planar(4, 4, triangulate=True, demand=(0, 1), weight=W, seed=seed)
     layering = bfs_layering(inst.graph, 0)
     band, region = layering.slice(2, 3), layering.slice(1, 4)
-    return lambda budget: solve_band(inst, band, region, budget)
+    rows = vertex_rows(inst)
+    return lambda budget: solve_band(inst, band, region, rows, budget)
 
 
 def _domination(oracle):
@@ -386,7 +388,7 @@ class TestPinnedWitnesses:
         )
         layering = bfs_layering(inst.graph, 0)
         sol = solve_band(
-            inst, layering.slice(2, 3), layering.slice(1, 4),
+            inst, layering.slice(2, 3), layering.slice(1, 4), vertex_rows(inst),
             SearchBudget(max_vertices=24),
         )
         assert pin(sol) == PINNED_BANDS[seed]

@@ -19,6 +19,7 @@ from edgemon import (
     monitor_table,
     ptas_planar,
     solve_band,
+    vertex_rows,
 )
 from edgemon.oracle import SearchBudget, minimum_weight_cover
 
@@ -36,6 +37,7 @@ def sweep_every_region(inst, epsilon, budget=None):
     k = ceil(2 / Fraction(epsilon))
     if not feasibility_precheck(inst):
         return None
+    rows = vertex_rows(inst)
     witness = set()
     for comp in inst.graph.connected_components():
         layers = edgemon.planar._layers(inst.graph, comp[0])
@@ -47,7 +49,7 @@ def sweep_every_region(inst, epsilon, budget=None):
                 band = edgemon.planar._union(layers, start, start + k - 1)
                 region = edgemon.planar._union(layers, start - 1, start + k)
                 if region:
-                    sol = edgemon.planar.solve_band(inst, band, region, budget)
+                    sol = edgemon.planar.solve_band(inst, band, region, rows, budget)
                     picked.update(sol.vertices)
             offsets.append((sum(inst.cost[v] for v in picked), offset, picked))
         witness |= min(offsets, key=lambda t: t[:2])[2]
@@ -89,18 +91,20 @@ class TestLayering:
 class TestSolveBand:
     def test_zero_demands_trivial(self):
         inst = Instance.make(K4, demand=0)
-        sol = solve_band(inst, frozenset(range(4)), frozenset(range(4)))
+        whole = frozenset(range(4))
+        sol = solve_band(inst, whole, whole, vertex_rows(inst))
         assert sol.vertices == () and sol.value == 0
 
     def test_whole_k4(self):
         inst = Instance.make(K4, demand=1)
-        sol = solve_band(inst, frozenset(range(4)), frozenset(range(4)))
+        whole = frozenset(range(4))
+        sol = solve_band(inst, whole, whole, vertex_rows(inst))
         assert sol.value == 3
 
     def test_band_must_sit_inside_region(self):
         inst = Instance.make(K4, demand=1)
         with pytest.raises(InputError):
-            solve_band(inst, frozenset({0, 1}), frozenset({1}))
+            solve_band(inst, frozenset({0, 1}), frozenset({1}), vertex_rows(inst))
 
     def test_middle_band_of_grid_matches_direct_search(self):
         inst = gen_planar(4, 4, triangulate=True, demand=1, seed=5)
@@ -112,7 +116,7 @@ class TestSolveBand:
         lay = bfs_layering(inst.graph, 0)
         band = lay.slice(2, 3)
         region = lay.slice(1, 4)
-        sol = solve_band(inst, band, region)
+        sol = solve_band(inst, band, region, vertex_rows(inst))
         # reference: brute force over subsets of the region only
         from itertools import combinations
 
@@ -151,6 +155,7 @@ class TestSolveBand:
                 weight=(0, 3, 1), seed=rng.below(1000),
             )
             table = monitor_table(inst)
+            rows = vertex_rows(inst)
             lay = bfs_layering(inst.graph, 0)
             for k in (1, 2, 3):
                 for start in range(-1, lay.depth + 1):
@@ -168,18 +173,22 @@ class TestSolveBand:
                         )
                     except BudgetExceeded as exc:
                         with pytest.raises(BudgetExceeded) as err:
-                            solve_band(inst, band, region)
+                            solve_band(inst, band, region, rows)
                         assert str(err.value) == (
                             f"band region of {len(region)} vertices: {exc}"
                         )
                         continue
-                    assert solve_band(inst, band, region) == want
+                    assert solve_band(inst, band, region, rows) == want
                     checked += 1
         assert checked
 
     def test_no_whole_graph_constraint_pass(self, monkeypatch):
+        # the rows come from one kernel pass made before the call; the band
+        # selects from them and makes no pass of its own
         import edgemon.core
 
+        inst = gen_planar(3, 12, triangulate=True, demand=(0, 1), seed=3)
+        rows = vertex_rows(inst)
         passes = []
         demand_checks = edgemon.core.demand_checks
 
@@ -191,9 +200,8 @@ class TestSolveBand:
         monkeypatch.setattr(
             edgemon.planar, "monitor_table", lambda inst: passes.append("table")
         )
-        inst = gen_planar(3, 12, triangulate=True, demand=(0, 1), seed=3)
         lay = bfs_layering(inst.graph, 0)
-        sol = solve_band(inst, lay.slice(4, 5), lay.slice(3, 6))
+        sol = solve_band(inst, lay.slice(4, 5), lay.slice(3, 6), rows)
         assert sol.feasible and sol.vertices and passes == []
 
 
@@ -234,7 +242,7 @@ class TestPtasPlanar:
             ptas_planar(gen_planar(2, 2), Fraction(-1))
 
     def test_one_monitor_table_per_call(self, monkeypatch):
-        # `feasibility_precheck` reads the whole graph's monitor sets once;
+        # `vertex_rows` reads the whole graph's monitor sets once;
         # `certify`'s pass reads them cut to the witness
         import edgemon.core
 
@@ -253,8 +261,8 @@ class TestPtasPlanar:
         assert sol.feasible == feasibility_precheck(inst)
 
     def test_two_constraint_passes_per_call(self, monkeypatch):
-        # one pass is `feasibility_precheck`, the other the witness
-        # re-check in `certify`; the bands build their constraints without one
+        # one pass is `vertex_rows`, whose rows also decide feasibility, the
+        # other the witness re-check in `certify`; the bands select rows
         import edgemon.core
 
         passes = []

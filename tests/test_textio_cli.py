@@ -37,6 +37,9 @@ e 0 1 1
 e 0 2 0
 e 1 2 2
 """
+# `str.splitlines` also ends a line at each of these; universal newlines,
+# and so a file read by the CLI, does not
+LINE_SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 class TestParse:
@@ -163,6 +166,9 @@ class TestParse:
                 'p em 1 0\nt (leaf 0) (leaf 1)\n',
                 'line 2: cotree expression: trailing tokens',
             ),
+            # one optional minus sign, then decimal digits
+            ('p em 1 0\nt (leaf --0)\n', 'line 2: cotree expression: leaf needs a vertex id'),
+            ('p em 1 0\nt (leaf \u00b2)\n', 'line 2: cotree expression: leaf needs a vertex id'),
             ('p em 2 1\ne 0 1 1\ne 1 0 1\n', 'line 3: duplicate edge (0, 1)'),
             # each token converted once: the checks still read the values
             # of tokens seen on earlier lines
@@ -185,6 +191,20 @@ class TestParse:
             parse_instance_text(text)
         assert err.value.line_no == 4
         assert "duplicate edge (1, 3)" in str(err.value)
+
+    @pytest.mark.parametrize("sep", LINE_SEPARATORS)
+    def test_comment_holding_a_line_separator_is_one_line(self, sep):
+        text = f"# note{sep}more\np em 2 1\nv 0 1\nv 1 1\ne 0 1 0\n"
+        doc = parse_instance_text(text)
+        assert doc.comments == (f"# note{sep}more",)
+        assert format_instance_text(doc) == text
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_ends_keep_line_numbers(self, eol):
+        lines = ["# note\u2028more", "p em 2 1", "", "e 0 1 1", "e 1 0 1"]
+        with pytest.raises(ParseError) as err:
+            parse_instance_text(eol.join(lines) + eol)
+        assert str(err.value) == "line 5: duplicate edge (0, 1)"
 
     def test_interval_lines(self):
         text = "p em 2 1\ne 0 1 1\ni 0 0 5\ni 1 3 8\n"
@@ -462,6 +482,17 @@ class TestCli:
             capture_output=True, text=True, env=env, check=False,
         )
         assert (done.returncode, done.stdout) == (code, stdout)
+
+    @pytest.mark.parametrize("sep", LINE_SEPARATORS)
+    def test_solution_comment_holding_a_line_separator_is_ignored(
+        self, capsys, tmp_path, sep
+    ):
+        sol = tmp_path / "note.sol"
+        sol.write_text(f"# note{sep}more 9\nset 0 1 2\n", encoding="utf-8")
+        code, out = self.run(
+            capsys, "verify", "--solution", str(sol), "--in", self.k4(tmp_path)
+        )
+        assert code == 0 and "verified true" in out
 
     def test_verify_agrees_with_solver_output(self, capsys, tmp_path):
         inst_path = self.write(
